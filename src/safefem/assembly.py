@@ -24,21 +24,16 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .exponential import (
-    CellCoefficients,
-    _bernoulli_value,
-    _eval_at,
-    cell_coefficients,
-    local_exp_operators,
-)
-from .mesh import cell_geometry, local_subsimplices
-from .quadrature import simplex_rule
+from .exponential import _bernoulli_value, _eval_at, local_exp_operators
+from .mesh import cell_blocks, cell_geometry, local_subsimplices, mesh_geometry
+from .quadrature import reference_simplex_rule, simplex_measures, simplex_rules
 from .whitney import (
     DofMap,
     LocalFormMatrix,
-    _local_mass_array,
+    basis_values,
     dof_map,
     facet_outward_signs,
+    mass_matrices,
 )
 
 
@@ -202,41 +197,6 @@ def local_safe_oracle(mesh, cell_id, k, coeffs):
     raise ValueError(f"no oracle form for k={k} in dimension {n}")
 
 
-def _basis_values(geom, k, pts, n):
-    """Local basis values at points, geometry-only version."""
-    g = geom.lambda_grads
-    lam = 1.0 / (n + 1) + (pts - geom.barycenter) @ g.T
-    if k == 0:
-        return lam
-    if k == n:
-        return np.full((pts.shape[0], 1), 1.0 / geom.volume)
-    if n == 3 and k == 1:
-        edges = local_subsimplices(3, 1)
-        vals = np.empty((pts.shape[0], 6, 3))
-        for e, (i, j) in enumerate(edges):
-            vals[:, e, :] = lam[:, i, None] * g[j] - lam[:, j, None] * g[i]
-        return vals
-    facets = local_subsimplices(n, n - 1)
-    signs = facet_outward_signs(geom)
-    vals = np.empty((pts.shape[0], len(facets), n))
-    for m, fac in enumerate(facets):
-        opp = next(i for i in range(n + 1) if i not in fac)
-        vals[:, m, :] = (signs[m] / (n * geom.volume)) * (pts - geom.vertices[opp])
-    return vals
-
-
-def _weighted_mass(geom, k, gamma, n, degree):
-    """Local mass matrix weighted by the reaction coefficient."""
-    if not callable(gamma):
-        return float(gamma) * _local_mass_array(geom, k)
-    pts, wts = simplex_rule(geom.vertices, degree)
-    gvals = _eval_at(gamma, pts) * wts
-    vals = _basis_values(geom, k, pts, n)
-    if vals.ndim == 2:
-        return np.einsum("q,qa,qb->ab", gvals, vals, vals)
-    return np.einsum("q,qad,qbd->ab", gvals, vals, vals)
-
-
 @dataclass
 class SparseSystem:
     """Assembled linear system with its DOF context."""
@@ -247,6 +207,113 @@ class SparseSystem:
     k: int
     scheme: str
     constrained: dict = field(default_factory=dict)
+
+
+def _kernel_values(eps, *args):
+    """``_bernoulli_value`` of each cell of a block, called on Python
+    floats: ``eps`` is a list, ``args`` are per-cell argument arrays."""
+    cols = zip(*(a.tolist() for a in args))
+    return np.array([_bernoulli_value(e, a) for e, a in zip(eps, cols)])
+
+
+def _safe_matrices(geo, k, eps, bbar):
+    """Local convective-diffusive matrices of every cell of ``geo``,
+    (ncells, nloc, nloc).  Each entry is the sequence of operations of
+    ``_local_safe_array``, so entries that cancel there cancel here."""
+    n = geo.vertices.shape[2]
+    ncells = len(geo.volume)
+    g = geo.lambda_grads
+    t = geo.tangents
+    if k == 0:
+        A = np.zeros((ncells, n + 1, n + 1))
+        for i, j in local_subsimplices(n, 1):
+            omega = -geo.volume * np.vecdot(g[:, i], g[:, j])
+            s = np.vecdot(bbar, t[:, i, j])
+            bij = _kernel_values(eps, s)
+            bji = _kernel_values(eps, -s)
+            A[:, j, j] += omega * bji
+            A[:, j, i] -= omega * bij
+            A[:, i, j] -= omega * bji
+            A[:, i, i] += omega * bij
+        return A
+    if k == 1 and n == 3:
+        edges = local_subsimplices(3, 1)
+        eidx = {e: m for m, e in enumerate(edges)}
+        faces = local_subsimplices(3, 2)
+        A = np.zeros((ncells, 6, 6))
+        for fa in range(4):
+            for fb in range(4):
+                if fa == fb:
+                    continue
+                i, j = sorted(set(faces[fa]) & set(faces[fb]))
+                kv = next(v for v in faces[fa] if v != i and v != j)
+                lv = next(v for v in faces[fb] if v != i and v != j)
+                cr = np.cross(g[:, i], g[:, j])
+                omega = -2.0 * geo.volume * np.vecdot(cr, cr)
+                trial = np.zeros((ncells, 6))
+                for p, q, o in ((i, j, kv), (j, kv, i), (kv, i, j)):
+                    val = _kernel_values(
+                        eps, np.vecdot(bbar, t[:, p, q]), np.vecdot(bbar, t[:, p, o])
+                    )
+                    sgn = 1.0 if p < q else -1.0
+                    trial[:, eidx[(min(p, q), max(p, q))]] += sgn * val
+                test = np.zeros(6)
+                for p, q in ((i, j), (j, lv), (lv, i)):
+                    test[eidx[(min(p, q), max(p, q))]] += 1.0 if p < q else -1.0
+                A -= omega[:, None, None] * (test[None, :, None] * trial[:, None, :])
+        return A
+    if k == n - 1:
+        signs = geo.facet_signs.astype(float)
+        coef = np.empty((ncells, n + 1))
+        for m, fac in enumerate(local_subsimplices(n, n - 1)):
+            opp = next(v for v in range(n + 1) if v not in fac)
+            p = fac[0]
+            args = [np.vecdot(bbar, t[:, p, q]) for q in fac[1:]]
+            coef[:, m] = _kernel_values(eps, *args, np.vecdot(bbar, t[:, p, opp]))
+        return signs[:, :, None] * (signs * coef)[:, None, :] / geo.volume[:, None, None]
+    raise ValueError(f"no convective-diffusive form for k={k} in dimension {n}")
+
+
+def _eval_field(fn, pts):
+    """A vectorized callable at stacked points (ncells, npts, n), shaped
+    (ncells, npts) or (ncells, npts, n)."""
+    vals = np.asarray(fn(pts.reshape(-1, pts.shape[2])), dtype=float)
+    return vals.reshape(pts.shape[:2] + vals.shape[1:])
+
+
+def _averaged_coefficients(geo, alpha, beta, degree):
+    """Per-cell kernel eps (a list) and averaged drift ``beta_bar`` of a
+    block, as ``cell_coefficients`` computes them cell by cell."""
+    xc = geo.barycenter
+    alpha_c = _eval_at(alpha, xc)
+    bad = np.nonzero(~(alpha_c > 0))[0]
+    if bad.size:
+        raise ValueError(f"alpha <= 0 at barycenter of cell {geo.cell_ids[bad[0]]}")
+    if callable(alpha):
+        pts, wts = simplex_rules(geo.vertices, degree)
+        alpha_bar = np.vecdot(_eval_field(alpha, pts), wts) / geo.volume
+        bad = np.nonzero(~(alpha_bar > 0))[0]
+        if bad.size:
+            raise ValueError(
+                f"alpha has nonpositive mean on cell {geo.cell_ids[bad[0]]}"
+            )
+    else:
+        alpha_bar = alpha_c
+    theta_bar = _eval_at(beta, xc) / alpha_c[:, None]
+    return alpha_bar.tolist(), alpha_bar[:, None] * theta_bar
+
+
+def _weighted_masses(geo, k, gamma, degree):
+    """Local mass matrices of a block weighted by the reaction
+    coefficient."""
+    if not callable(gamma):
+        return float(gamma) * mass_matrices(geo, k)
+    pts, wts = simplex_rules(geo.vertices, degree)
+    gvals = _eval_field(gamma, pts) * wts
+    vals = basis_values(geo, k, pts)
+    if vals.ndim == 3:
+        return np.einsum("cq,cqa,cqb->cab", gvals, vals, vals)
+    return np.einsum("cq,cqad,cqbd->cab", gvals, vals, vals)
 
 
 def assemble(mesh, k, alpha, beta, gamma=0.0, scheme="primal", quad_degree=4):
@@ -266,19 +333,20 @@ def assemble(mesh, k, alpha, beta, gamma=0.0, scheme="primal", quad_degree=4):
     limit_mode = not callable(alpha) and float(np.asarray(alpha)) == 0.0
     nloc = dm.cell_dofs.shape[1]
     ncells = mesh.num_cells
+    geo = mesh_geometry(mesh)
     blocks = np.empty((ncells, nloc, nloc))
     with_mass = callable(gamma) or float(np.asarray(gamma)) != 0.0
-    for cid in range(ncells):
-        geom = cell_geometry(mesh, cid)
+    for cells in cell_blocks(ncells, reference_simplex_rule(n, quad_degree)[1].size):
+        block = geo[cells]
         if limit_mode:
-            bbar = _eval_at(beta, geom.barycenter[None, :])[0]
-            coeffs = CellCoefficients(0.0, None, bbar, gamma)
+            eps = [0.0] * len(block.volume)
+            bbar = _eval_at(beta, block.barycenter)
         else:
-            coeffs = _cell_coefficients_from_geom(geom, alpha, beta, gamma, quad_degree)
-        A = _local_safe_array(geom, k, coeffs, n)
+            eps, bbar = _averaged_coefficients(block, alpha, beta, quad_degree)
+        A = _safe_matrices(block, k, eps, bbar)
         if with_mass:
-            A = A + _weighted_mass(geom, k, gamma, n, quad_degree)
-        blocks[cid] = A
+            A = A + _weighted_masses(block, k, gamma, quad_degree)
+        blocks[cells] = A
     rows = np.repeat(dm.cell_dofs, nloc, axis=1).ravel()
     cols = np.tile(dm.cell_dofs, (1, nloc)).ravel()
     mat = sp.coo_matrix(
@@ -295,20 +363,12 @@ def assemble(mesh, k, alpha, beta, gamma=0.0, scheme="primal", quad_degree=4):
     )
 
 
-def _cell_coefficients_from_geom(geom, alpha, beta, gamma, degree):
-    xc = geom.barycenter[None, :]
-    alpha_c = float(_eval_at(alpha, xc)[0])
-    if not alpha_c > 0:
-        raise ValueError(f"alpha <= 0 at barycenter of cell {geom.cell}")
-    if callable(alpha):
-        pts, wts = simplex_rule(geom.vertices, degree)
-        alpha_bar = float(_eval_at(alpha, pts) @ wts) / geom.volume
-        if not alpha_bar > 0:
-            raise ValueError(f"alpha has nonpositive mean on cell {geom.cell}")
-    else:
-        alpha_bar = alpha_c
-    theta_bar = _eval_at(beta, xc)[0] / alpha_c
-    return CellCoefficients(alpha_bar, theta_bar, alpha_bar * theta_bar, gamma)
+def _basis_integrals(fvals, wts, vals):
+    """Quadrature of a field against every local basis function, per
+    cell: scalar fields (ncells, npts), vector fields (ncells, npts, n)."""
+    if vals.ndim == 3:
+        return np.einsum("cq,cqa->ca", fvals * wts, vals)
+    return np.einsum("cqd,cqad->ca", fvals * wts[..., None], vals)
 
 
 def assemble_load(mesh, k, f, degree=4, neumann=None, g=None):
@@ -323,53 +383,46 @@ def assemble_load(mesh, k, f, degree=4, neumann=None, g=None):
     n = mesh.dim
     dm = dof_map(mesh, k)
     rhs = np.zeros(dm.num_dofs)
-    for cid in range(mesh.num_cells):
-        geom = cell_geometry(mesh, cid)
-        pts, wts = simplex_rule(geom.vertices, degree)
-        fvals = np.asarray(f(pts), dtype=float)
-        vals = _basis_values(geom, k, pts, n)
-        if vals.ndim == 2:
-            loc = np.einsum("q,qa->a", fvals * wts, vals)
-        else:
-            loc = np.einsum("qd,qad->a", fvals * wts[:, None], vals)
-        np.add.at(rhs, dm.cell_dofs[cid], loc)
+    geo = mesh_geometry(mesh)
+    for cells in cell_blocks(mesh.num_cells, reference_simplex_rule(n, degree)[1].size):
+        block = geo[cells]
+        pts, wts = simplex_rules(block.vertices, degree)
+        loc = _basis_integrals(_eval_field(f, pts), wts, basis_values(block, k, pts))
+        np.add.at(rhs, dm.cell_dofs[cells], loc)
     if neumann is not None:
         if g is None:
             raise ValueError("neumann facets given without boundary data g")
-        rhs += _natural_boundary_load(mesh, k, neumann, g, degree)
+        rhs += _natural_boundary_load(mesh, geo, k, neumann, g, degree)
     return rhs
 
 
-def _natural_boundary_load(mesh, k, facet_ids, g, degree):
+def _natural_boundary_load(mesh, geo, k, facet_ids, g, degree):
     n = mesh.dim
+    if not (k in (0, n - 1) or (k == 1 and n == 3)):
+        raise ValueError(f"no natural boundary pairing for k={k}")
     dm = dof_map(mesh, k)
     rhs = np.zeros(dm.num_dofs)
+    fids = np.asarray(list(facet_ids), dtype=np.int64)
+    if fids.size == 0:
+        return rhs
     # adjacent cell of each facet
+    cell_facets = mesh.cell_entities[n - 1]
     facet_cell = np.full(mesh.num_entities(n - 1), -1, dtype=np.int64)
-    for cid in range(mesh.num_cells):
-        facet_cell[mesh.cell_entities[n - 1][cid]] = cid
-    for fid in facet_ids:
-        fverts = mesh.vertices[mesh.simplices[n - 1][fid]]
-        pts, wts = simplex_rule(fverts, degree)
-        gvals = np.asarray(g(pts), dtype=float)
-        cid = int(facet_cell[fid])
-        geom = cell_geometry(mesh, cid)
-        loc_f = list(mesh.cell_entities[n - 1][cid]).index(fid)
-        if k == 0:
-            # vertex traces are the facet barycentric coordinates
-            lam = 1.0 / (n + 1) + (pts - geom.barycenter) @ geom.lambda_grads.T
-            for li, gv in enumerate(mesh.cells[cid]):
-                rhs[gv] += np.sum(wts * gvals * lam[:, li])
-        elif k == n - 1:
-            sgn = float(facet_outward_signs(geom)[loc_f])
-            area = geom.facet_measures[loc_f]
-            rhs[fid] += sgn / area * np.sum(wts * gvals)
-        elif k == 1 and n == 3:
-            vals = _basis_values(geom, k, pts, n)
-            loc = np.einsum("qd,qad->a", gvals * wts[:, None], vals)
-            np.add.at(rhs, dm.cell_dofs[cid], loc)
-        else:
-            raise ValueError(f"no natural boundary pairing for k={k}")
+    facet_cell[cell_facets.ravel()] = np.repeat(np.arange(mesh.num_cells), n + 1)
+    cells = facet_cell[fids]
+    fverts = mesh.vertices[mesh.simplices[n - 1][fids]]
+    pts, wts = simplex_rules(fverts, degree)
+    gvals = _eval_field(g, pts)
+    if k == n - 1:
+        slots = np.argmax(cell_facets[cells] == fids[:, None], axis=1)
+        signs = geo.facet_signs[cells, slots]
+        areas = simplex_measures(fverts)
+        np.add.at(rhs, fids, signs / areas * np.sum(wts * gvals, axis=1))
+    else:
+        # vertex traces are the facet barycentric coordinates; the 3d edge
+        # basis is integrated on the facet as it is
+        vals = basis_values(geo[cells], k, pts)
+        np.add.at(rhs, dm.cell_dofs[cells], _basis_integrals(gvals, wts, vals))
     return rhs
 
 

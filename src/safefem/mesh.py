@@ -14,7 +14,7 @@ flags.  Orientation conventions are fixed by the sorted vertex order:
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -244,6 +244,80 @@ def cell_geometry(mesh, cell_id):
         edge_tangents=etan,
         facet_measures=fmeas,
         facet_normals=fnorm,
+    )
+
+
+# Whole-mesh passes work through the cells in consecutive blocks holding
+# at most this many quadrature points, so their per-point arrays stay a
+# few MB whatever the mesh size.
+_BLOCK_POINTS = 8192
+
+
+def cell_blocks(num_cells, points_per_cell):
+    """Consecutive cell slices of at most ``_BLOCK_POINTS`` points each."""
+    size = max(1, _BLOCK_POINTS // points_per_cell)
+    return [slice(s, min(s + size, num_cells)) for s in range(0, num_cells, size)]
+
+
+@dataclass
+class MeshGeometry:
+    """Metric data of many cells, stacked along a leading cell axis.
+
+    Row c repeats, operation for operation, what ``cell_geometry`` gives
+    for cell ``cell_ids[c]``: ``vertices`` (N, n+1, n), ``volume`` (N,),
+    ``barycenter`` (N, n), ``lambda_grads`` (N, n+1, n) and the offset
+    table ``tangents`` (N, n+1, n+1, n).  ``facet_signs`` (N, n+1) is +1
+    where the stored normal of a local facet points out of the cell.
+    Indexing with a slice or an index array selects cells.
+    """
+
+    cell_ids: np.ndarray
+    vertices: np.ndarray
+    volume: np.ndarray
+    barycenter: np.ndarray
+    lambda_grads: np.ndarray
+    tangents: np.ndarray
+    facet_signs: np.ndarray
+
+    def __getitem__(self, cells):
+        return MeshGeometry(
+            *(getattr(self, f.name)[cells] for f in fields(MeshGeometry))
+        )
+
+
+def mesh_geometry(mesh):
+    """MeshGeometry of all cells, raising on the first degenerate cell."""
+    n = mesh.dim
+    verts = mesh.vertices[mesh.cells]
+    mat = verts[:, 1:] - verts[:, :1]
+    volume = np.abs(np.linalg.det(mat)) / math.factorial(n)
+    scale = np.max(np.abs(mat), axis=(1, 2)) ** n
+    bad = np.nonzero(~(volume > 1e-14 * np.maximum(scale, 1e-300)))[0]
+    if bad.size:
+        cid = int(bad[0])
+        raise ValueError(f"degenerate cell {cid}: measure {volume[cid]}")
+    aug = np.concatenate([np.ones(verts.shape[:2] + (1,)), verts], axis=2)
+    lambda_grads = np.linalg.inv(aug)[:, 1:, :].transpose(0, 2, 1).copy()
+    tangents = verts[:, None, :, :] - verts[:, :, None, :]
+
+    signs = np.empty((len(verts), n + 1), dtype=np.int8)
+    for m, fac in enumerate(local_subsimplices(n, n - 1)):
+        opp = next(i for i in range(n + 1) if i not in fac)
+        edge = tangents[:, fac[0], fac[1]]
+        if n == 2:
+            normal = np.stack([edge[:, 1], -edge[:, 0]], axis=1)
+        else:
+            normal = np.cross(edge, tangents[:, fac[0], fac[2]])
+        mid = verts[:, list(fac)].mean(axis=1)
+        signs[:, m] = np.where(np.vecdot(normal, mid - verts[:, opp]) > 0, 1, -1)
+    return MeshGeometry(
+        cell_ids=np.arange(len(verts)),
+        vertices=verts,
+        volume=volume,
+        barycenter=verts.mean(axis=1),
+        lambda_grads=lambda_grads,
+        tangents=tangents,
+        facet_signs=signs,
     )
 
 

@@ -68,16 +68,35 @@ def reference_simplex_rule(dim, degree):
     return np.array(pts), np.array(wts)
 
 
+def simplex_measures(vertices):
+    """Measures of stacked simplices, ``vertices`` an (N, m+1, n) array."""
+    verts = np.asarray(vertices, dtype=float)
+    m = verts.shape[1] - 1
+    if m == 0:
+        return np.ones(verts.shape[0])
+    edges = verts[:, 1:] - verts[:, :1]
+    gram = edges @ edges.transpose(0, 2, 1)
+    return np.sqrt(np.maximum(np.linalg.det(gram), 0.0)) / math.factorial(m)
+
+
 def simplex_measure(vertices):
     """Measure of the simplex spanned by ``vertices`` ((m+1, n) array)."""
+    return float(simplex_measures(np.asarray(vertices, dtype=float)[None])[0])
+
+
+def simplex_rules(vertices, degree):
+    """Quadrature points and weights on stacked physical simplices.
+
+    ``vertices`` is an (N, m+1, n) array with m <= n.  Returns points
+    (N, npts, n) and weights (N, npts); each row of weights sums to the
+    m-dimensional measure of its simplex.
+    """
     verts = np.asarray(vertices, dtype=float)
-    m = verts.shape[0] - 1
-    if m == 0:
-        return 1.0
-    edges = verts[1:] - verts[0]
-    gram = edges @ edges.T
-    det = np.linalg.det(gram)
-    return math.sqrt(max(det, 0.0)) / math.factorial(m)
+    m = verts.shape[1] - 1
+    ref_pts, ref_wts = reference_simplex_rule(m, degree)
+    pts = verts[:, :1] + ref_pts @ (verts[:, 1:] - verts[:, :1])
+    ref_measure = 1.0 / math.factorial(m) if m > 0 else 1.0
+    return pts, ref_wts * (simplex_measures(verts) / ref_measure)[:, None]
 
 
 def simplex_rule(vertices, degree):
@@ -86,10 +105,5 @@ def simplex_rule(vertices, degree):
     ``vertices`` is an (m+1, n) array with m <= n.  Weights sum to the
     m-dimensional measure of the simplex.
     """
-    verts = np.asarray(vertices, dtype=float)
-    m = verts.shape[0] - 1
-    ref_pts, ref_wts = reference_simplex_rule(m, degree)
-    pts = verts[0] + ref_pts @ (verts[1:] - verts[0])
-    measure = simplex_measure(verts)
-    ref_measure = 1.0 / math.factorial(m) if m > 0 else 1.0
-    return pts, ref_wts * (measure / ref_measure)
+    pts, wts = simplex_rules(np.asarray(vertices, dtype=float)[None], degree)
+    return pts[0], wts[0]

@@ -69,17 +69,10 @@ def solve(system, config=None):
     def cb(_):
         count["it"] += 1
 
-    try:
-        x, info = spla.gmres(
-            A, b, rtol=config.tol, atol=0.0, maxiter=config.max_iter,
-            M=prec, callback=cb, callback_type="pr_norm",
-        )
-    except TypeError:
-        # older scipy spells the tolerance argument "tol"
-        x, info = spla.gmres(
-            A, b, tol=config.tol, atol=0.0, maxiter=config.max_iter,
-            M=prec, callback=cb, callback_type="pr_norm",
-        )
+    x, info = spla.gmres(
+        A, b, rtol=config.tol, atol=0.0, maxiter=config.max_iter,
+        M=prec, callback=cb, callback_type="pr_norm",
+    )
     if info != 0 or not np.all(np.isfinite(x)):
         raise RuntimeError(f"gmres did not converge (info={info})")
     res = np.linalg.norm(A @ x - b) / max(bnorm, 1e-300)

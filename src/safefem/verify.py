@@ -18,12 +18,13 @@ from .mesh import (
     DIAG_LL_UR,
     build_unit_cube_mesh,
     build_unit_square_mesh,
-    cell_geometry,
+    cell_blocks,
+    mesh_geometry,
     save_vtk,
 )
-from .quadrature import simplex_rule
+from .quadrature import reference_simplex_rule, simplex_rules
 from .solver import SolverConfig, solve
-from .whitney import canonical_interpolate, dof_map, eval_basis
+from .whitney import basis_derivatives, basis_values, canonical_interpolate, dof_map
 
 CASE_NAMES = ("grad2d", "grad3d", "div2d", "curl3d", "div2d-stability")
 
@@ -239,28 +240,30 @@ def error_norms(mesh, k, u_h, u_exact, du_exact=None, degree=4):
     dm = dof_map(mesh, k)
     if len(u_h) != dm.num_dofs:
         raise ValueError("DOF vector length does not match the mesh")
+    n = mesh.dim
+    geo = mesh_geometry(mesh)
     acc_l2 = 0.0
     acc_d = 0.0
-    for cid in range(mesh.num_cells):
-        geom = cell_geometry(mesh, cid)
-        pts, wts = simplex_rule(geom.vertices, degree)
-        basis = eval_basis(mesh, cid, k, pts, tol=1e-8)
-        coefs = u_h[dm.cell_dofs[cid]]
-        ue = np.asarray(u_exact(pts), dtype=float)
-        if basis.values.ndim == 2:
-            uh = basis.values @ coefs
-            acc_l2 += float(wts @ (uh - ue) ** 2)
+    for cells in cell_blocks(mesh.num_cells, reference_simplex_rule(n, degree)[1].size):
+        block = geo[cells]
+        pts, wts = simplex_rules(block.vertices, degree)
+        flat = pts.reshape(-1, n)
+        vals = basis_values(block, k, pts, tol=1e-8)
+        coefs = u_h[dm.cell_dofs[cells]]
+        ue = np.asarray(u_exact(flat), dtype=float).reshape(pts.shape[:2] + (-1,))
+        if vals.ndim == 3:
+            uh = vals @ coefs[:, :, None]
         else:
-            uh = np.einsum("qad,a->qd", basis.values, coefs)
-            acc_l2 += float(wts @ np.sum((uh - ue) ** 2, axis=1))
+            uh = np.einsum("cqad,ca->cqd", vals, coefs)
+        acc_l2 += float(np.sum(np.vecdot(wts, np.sum((uh - ue) ** 2, axis=2))))
         if du_exact is not None:
-            de = np.asarray(du_exact(pts), dtype=float)
-            if basis.d_values.ndim == 2 and basis.d_values.shape[1] > 1:
-                dh = basis.d_values.T @ coefs  # constant vector proxy
-                acc_d += float(wts @ np.sum((dh[None, :] - de) ** 2, axis=1))
+            de = np.asarray(du_exact(flat), dtype=float).reshape(pts.shape[:2] + (-1,))
+            dvals = basis_derivatives(block, k)
+            if dvals.ndim == 3:
+                dh = (dvals.transpose(0, 2, 1) @ coefs[:, :, None])[:, None, :, 0]
             else:
-                dh = float(basis.d_values.ravel() @ coefs)
-                acc_d += float(wts @ (dh - de) ** 2)
+                dh = np.vecdot(dvals, coefs)[:, None, None]
+            acc_d += float(np.sum(np.vecdot(wts, np.sum((dh - de) ** 2, axis=2))))
     return ErrorNorms(math.sqrt(acc_l2), math.sqrt(acc_d) if du_exact is not None else None)
 
 
@@ -378,19 +381,12 @@ def stability_metrics(u_h, reference=None):
 def reconstruct_cell_field(mesh, k, u_h):
     """Barycenter values of a DOF field per cell: scalars for k = 0 and
     k = n, vectors otherwise."""
-    dm = dof_map(mesh, k)
-    n = mesh.dim
-    scalar = k in (0, n)
-    out = np.zeros(mesh.num_cells) if scalar else np.zeros((mesh.num_cells, n))
-    for cid in range(mesh.num_cells):
-        geom = cell_geometry(mesh, cid)
-        basis = eval_basis(mesh, cid, k, geom.barycenter[None, :])
-        coefs = u_h[dm.cell_dofs[cid]]
-        if scalar:
-            out[cid] = float(basis.values[0] @ coefs)
-        else:
-            out[cid] = np.einsum("ad,a->d", basis.values[0], coefs)
-    return out
+    geo = mesh_geometry(mesh)
+    vals = basis_values(geo, k, geo.barycenter[:, None, :])[:, 0]
+    coefs = u_h[dof_map(mesh, k).cell_dofs]
+    if vals.ndim == 2:
+        return np.vecdot(vals, coefs)
+    return np.einsum("cad,ca->cd", vals, coefs)
 
 
 def write_solution_vtk(mesh, k, u_h, path, label="solution"):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import cell_geometry, local_subsimplices
+from .mesh import cell_geometry, local_subsimplices, mesh_geometry
 from .quadrature import reference_simplex_rule
 
 
@@ -95,13 +95,9 @@ def incidence(mesh, k):
         shape = (faces.shape[0], mesh.num_entities(1))
     else:
         # facets -> cells: outward flux signs
-        rows, cols, vals = [], [], []
-        for cid in range(mesh.num_cells):
-            signs = facet_outward_signs(cell_geometry(mesh, cid))
-            for loc, ent in enumerate(mesh.cell_entities[n - 1][cid]):
-                rows.append(cid)
-                cols.append(int(ent))
-                vals.append(int(signs[loc]))
+        rows = np.repeat(np.arange(mesh.num_cells), n + 1)
+        cols = mesh.cell_entities[n - 1].ravel()
+        vals = mesh_geometry(mesh).facet_signs.ravel()
         shape = (mesh.num_cells, mesh.num_entities(n - 1))
     return sp.csr_matrix(
         (np.asarray(vals, dtype=np.int64), (np.asarray(rows), np.asarray(cols))),
@@ -191,6 +187,70 @@ def eval_basis(mesh, cell_id, k, points, tol=1e-10):
         vals[:, m, :] = coef * (pts - geom.vertices[opp])
         divs[m] = signs[m] / geom.volume
     return WhitneyBasis(cell_id, k, vals, divs)
+
+
+def _opposite_vertices(n):
+    """Local vertex opposite each local facet, in facet order."""
+    return [
+        next(i for i in range(n + 1) if i not in fac)
+        for fac in local_subsimplices(n, n - 1)
+    ]
+
+
+def basis_values(geo, k, points, tol=None):
+    """Local degree-k basis of each cell of ``geo`` (a MeshGeometry) at
+    that cell's own points, ``points`` of shape (ncells, npts, n).
+
+    Returns (ncells, npts, nloc) for scalar species and
+    (ncells, npts, nloc, n) for vector species, with the arithmetic of
+    ``eval_basis``.  With ``tol`` set, raises ValueError naming the first
+    cell with a point outside it beyond ``tol`` in barycentric
+    coordinates.
+    """
+    n = geo.vertices.shape[2]
+    g = geo.lambda_grads
+    lam = 1.0 / (n + 1) + (points - geo.barycenter[:, None, :]) @ g.transpose(0, 2, 1)
+    if tol is not None:
+        outside = np.nonzero(((lam < -tol) | (lam > 1.0 + tol)).any(axis=(1, 2)))[0]
+        if outside.size:
+            c = outside[0]
+            raise ValueError(
+                f"point outside cell {geo.cell_ids[c]}: barycentric range "
+                f"[{lam[c].min():.3e}, {lam[c].max():.3e}]"
+            )
+    if k == 0:
+        return lam
+    if k == n:
+        return np.repeat((1.0 / geo.volume)[:, None, None], points.shape[1], axis=1)
+    if n == 3 and k == 1:
+        vals = np.empty(lam.shape[:2] + (6, 3))
+        for e, (i, j) in enumerate(local_subsimplices(3, 1)):
+            vals[:, :, e, :] = (
+                lam[:, :, i, None] * g[:, None, j] - lam[:, :, j, None] * g[:, None, i]
+            )
+        return vals
+    vals = np.empty(lam.shape[:2] + (n + 1, n))
+    for m, opp in enumerate(_opposite_vertices(n)):
+        coef = geo.facet_signs[:, m] / (n * geo.volume)
+        vals[:, :, m, :] = coef[:, None, None] * (points - geo.vertices[:, None, opp])
+    return vals
+
+
+def basis_derivatives(geo, k):
+    """Exterior-derivative proxies of the local basis, constant per cell:
+    gradients (ncells, n+1, n) for k = 0, curls (ncells, 6, 3) for the 3d
+    edge space, divergences (ncells, n+1) for the facet space and zeros
+    (ncells, 1) for k = n."""
+    n = geo.vertices.shape[2]
+    g = geo.lambda_grads
+    if k == 0:
+        return g
+    if k == n:
+        return np.zeros((len(geo.volume), 1))
+    if n == 3 and k == 1:
+        edges = local_subsimplices(3, 1)
+        return np.stack([2.0 * np.cross(g[:, i], g[:, j]) for i, j in edges], axis=1)
+    return geo.facet_signs / geo.volume[:, None]
 
 
 def _entity_frames(mesh, k, entity_ids):
@@ -312,6 +372,53 @@ def _local_mass_array(geom, k):
             ob = verts[next(i for i in range(n + 1) if i not in fb)]
             val = s2 - ob @ m1 - oa @ m1 + (oa @ ob) * vol
             M[a, b] = signs[a] * signs[b] * val / (n * vol) ** 2
+    return M
+
+
+def mass_matrices(geo, k):
+    """Exact unweighted local mass matrices of every cell of ``geo`` (a
+    MeshGeometry), (ncells, nloc, nloc), with the arithmetic of
+    ``local_mass``."""
+    n = geo.vertices.shape[2]
+    vol = geo.volume
+    if k == 0:
+        return _lambda_products(n, vol[:, None, None])
+    if k == n:
+        return (1.0 / vol)[:, None, None]
+    if n == 3 and k == 1:
+        g = geo.lambda_grads
+        gg = g @ g.transpose(0, 2, 1)
+        C = _lambda_products(n, vol[:, None, None])
+        i, j = np.array(local_subsimplices(3, 1)).T
+        I, J, P, Q = i[:, None], j[:, None], i[None, :], j[None, :]
+        return (
+            C[:, I, P] * gg[:, J, Q]
+            - C[:, I, Q] * gg[:, J, P]
+            - C[:, J, P] * gg[:, I, Q]
+            + C[:, J, Q] * gg[:, I, P]
+        )
+    # facet space; each product below is taken as in _local_mass_array so
+    # that contributions cancelling there cancel here too
+    signs = geo.facet_signs
+    verts = geo.vertices
+    vsum = verts.sum(axis=1)
+    squares = (verts * verts).reshape(len(vol), -1).sum(axis=1)
+    s2 = vol / ((n + 1) * (n + 2)) * (squares + np.vecdot(vsum, vsum))
+    m1 = vol[:, None] * geo.barycenter
+    opp = [verts[:, v] for v in _opposite_vertices(n)]
+    # libm pow, as the scalar ``** 2`` of _local_mass_array: an array's
+    # ``** 2`` squares instead and can differ in the last bit
+    scale = np.array([math.pow(x, 2) for x in (n * vol).tolist()])
+    M = np.empty((len(vol), n + 1, n + 1))
+    for a in range(n + 1):
+        for b in range(n + 1):
+            val = (
+                s2
+                - np.vecdot(opp[b], m1)
+                - np.vecdot(opp[a], m1)
+                + np.vecdot(opp[a], opp[b]) * vol
+            )
+            M[:, a, b] = signs[:, a] * signs[:, b] * val / scale
     return M
 
 

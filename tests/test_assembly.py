@@ -292,6 +292,28 @@ def test_neumann_load_vertex():
         assemble_load(mesh, 0, lambda x: np.zeros(len(x)), neumann=right)
 
 
+def test_neumann_load_facet():
+    # constant normal density g: each listed facet's DOF gets its outward
+    # sign times g, every other entry stays zero
+    mesh = build_unit_square_mesh(4)
+    right = [
+        fid
+        for fid in np.nonzero(mesh.boundary[1])[0]
+        if np.allclose(mesh.vertices[mesh.simplices[1][fid]][:, 0], 1.0)
+    ]
+    g = 2.5
+    rhs = assemble_load(
+        mesh, 1, lambda x: np.zeros((len(x), 2)), neumann=right,
+        g=lambda x: np.full(len(x), g),
+    )
+    for fid in right:
+        a, b = mesh.vertices[mesh.simplices[1][fid]]
+        normal = np.array([b[1] - a[1], a[0] - b[0]])  # rotated clockwise
+        assert rhs[fid] == pytest.approx(np.sign(normal[0]) * g, rel=1e-13)
+    others = np.setdiff1d(np.arange(len(rhs)), right)
+    assert (rhs[others] == 0.0).all()
+
+
 def test_essential_bc_elimination():
     mesh = build_unit_square_mesh(2)
     beta = const_beta([1.0, 0.0])

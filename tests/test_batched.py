@@ -1,0 +1,202 @@
+"""The whole-mesh routes of assemble, assemble_load and error_norms
+against per-cell references written out here: local_safe_matrix with
+cell_coefficients, local_mass, and simplex_rule plus eval_basis loops."""
+
+import numpy as np
+import pytest
+
+from safefem.assembly import assemble, assemble_load, local_safe_matrix
+from safefem.exponential import CellCoefficients, cell_coefficients
+from safefem.mesh import (
+    build_unit_cube_mesh,
+    build_unit_square_mesh,
+    cell_blocks,
+    cell_geometry,
+    mesh_geometry,
+)
+from safefem.quadrature import reference_simplex_rule, simplex_rule
+from safefem.verify import error_norms
+from safefem.whitney import dof_map, eval_basis, local_mass
+
+CONVECTIVE_SPECIES = [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
+ALL_SPECIES = [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3)]
+REL_TOL = 1e-13
+
+
+def jittered_mesh(dim, seed):
+    """Structured mesh with interior vertices moved by up to 0.2 h, so no
+    cell is a right simplex.  The cube mesh (n = 4, 384 cells at 64
+    quadrature points) spans several cell blocks."""
+    n = 6 if dim == 2 else 4
+    mesh = build_unit_square_mesh(n) if dim == 2 else build_unit_cube_mesh(n)
+    rng = np.random.default_rng(seed)
+    shift = rng.uniform(-0.2 / n, 0.2 / n, size=mesh.vertices.shape)
+    mesh.vertices = mesh.vertices + shift * (~mesh.boundary[0])[:, None]
+    return mesh
+
+
+def beta_field(dim):
+    if dim == 2:
+        return lambda x: np.column_stack([-x[:, 1], x[:, 0]]) + 0.3
+    return lambda x: np.column_stack([x[:, 1], x[:, 2], x[:, 0]]) - 0.2
+
+
+ALPHAS = {
+    "constant": 0.05,
+    "callable": lambda x: 0.02 + x[:, 0] ** 2,
+    "zero": 0.0,
+}
+GAMMAS = {"constant": 1.5, "callable": lambda x: 1.0 + x[:, -1]}
+
+
+def scalar_field(x):
+    return np.sin(3.0 * x[:, 0]) * np.exp(x[:, 1])
+
+
+def vector_field(x):
+    return np.column_stack([np.sin(3.0 * x[:, 0] + x[:, i]) for i in range(x.shape[1])])
+
+
+def per_cell_matrix(mesh, k, alpha, beta, gamma):
+    dm = dof_map(mesh, k)
+    ref = np.zeros((dm.num_dofs, dm.num_dofs))
+    for cid in range(mesh.num_cells):
+        geom = cell_geometry(mesh, cid)
+        if callable(alpha) or alpha != 0.0:
+            coeffs = cell_coefficients(mesh, cid, alpha, beta)
+        else:
+            coeffs = CellCoefficients(0.0, None, beta(geom.barycenter[None])[0])
+        loc = local_safe_matrix(mesh, cid, k, coeffs).matrix
+        if callable(gamma):
+            pts, wts = simplex_rule(geom.vertices, 4)
+            vals = eval_basis(mesh, cid, k, pts).values
+            gw = gamma(pts) * wts
+            if vals.ndim == 2:
+                loc = loc + np.einsum("q,qa,qb->ab", gw, vals, vals)
+            else:
+                loc = loc + np.einsum("q,qad,qbd->ab", gw, vals, vals)
+        else:
+            loc = loc + gamma * local_mass(mesh, cid, k).matrix
+        dofs = dm.cell_dofs[cid]
+        ref[np.ix_(dofs, dofs)] += loc
+    return ref
+
+
+def per_cell_load(mesh, k, f):
+    dm = dof_map(mesh, k)
+    rhs = np.zeros(dm.num_dofs)
+    for cid in range(mesh.num_cells):
+        pts, wts = simplex_rule(cell_geometry(mesh, cid).vertices, 4)
+        vals = eval_basis(mesh, cid, k, pts).values
+        fw = f(pts) * (wts if vals.ndim == 2 else wts[:, None])
+        spec = "q,qa->a" if vals.ndim == 2 else "qd,qad->a"
+        rhs[dm.cell_dofs[cid]] += np.einsum(spec, fw, vals)
+    return rhs
+
+
+def per_cell_error_norms(mesh, k, u_h, u_exact, du_exact):
+    dm = dof_map(mesh, k)
+    acc_l2 = acc_d = 0.0
+    for cid in range(mesh.num_cells):
+        pts, wts = simplex_rule(cell_geometry(mesh, cid).vertices, 4)
+        basis = eval_basis(mesh, cid, k, pts)
+        coefs = u_h[dm.cell_dofs[cid]]
+        if basis.values.ndim == 2:
+            err = basis.values @ coefs - u_exact(pts)
+        else:
+            err = np.einsum("qad,a->qd", basis.values, coefs) - u_exact(pts)
+        acc_l2 += wts @ (err**2 if err.ndim == 1 else np.sum(err**2, axis=1))
+        d = basis.d_values
+        if d.ndim == 2 and d.shape[1] > 1:
+            derr = (d.T @ coefs)[None, :] - du_exact(pts)
+            acc_d += wts @ np.sum(derr**2, axis=1)
+        else:
+            acc_d += wts @ (d.ravel() @ coefs - du_exact(pts)) ** 2
+    return np.sqrt(acc_l2), np.sqrt(acc_d)
+
+
+def assert_close(actual, reference):
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(actual - reference)) <= REL_TOL * scale
+
+
+def test_cube_mesh_spans_several_blocks():
+    mesh = jittered_mesh(3, 0)
+    points = reference_simplex_rule(3, 4)[1].size
+    assert len(cell_blocks(mesh.num_cells, points)) > 1
+
+
+@pytest.mark.parametrize("gamma", sorted(GAMMAS))
+@pytest.mark.parametrize("alpha", sorted(ALPHAS))
+@pytest.mark.parametrize("dim,k", CONVECTIVE_SPECIES)
+def test_assemble_matches_per_cell_route(dim, k, alpha, gamma):
+    mesh = jittered_mesh(dim, 10 * dim + k)
+    beta = beta_field(dim)
+    ref = per_cell_matrix(mesh, k, ALPHAS[alpha], beta, GAMMAS[gamma])
+    for scheme, want in (("primal", ref), ("dual", ref.T)):
+        A = assemble(mesh, k, ALPHAS[alpha], beta, GAMMAS[gamma], scheme=scheme)
+        assert_close(A.matrix.toarray(), want)
+
+
+@pytest.mark.parametrize("dim,k", ALL_SPECIES)
+def test_load_and_error_norms_match_per_cell_route(dim, k):
+    mesh = jittered_mesh(dim, 100 + 10 * dim + k)
+    f = scalar_field if k in (0, dim) else vector_field
+    assert_close(assemble_load(mesh, k, f), per_cell_load(mesh, k, f))
+
+    u_h = np.random.default_rng(k).standard_normal(mesh.num_entities(k))
+    vector_d = k == 0 or (dim == 3 and k == 1)
+    df = vector_field if vector_d else scalar_field
+    got = error_norms(mesh, k, u_h, f, df)
+    want = per_cell_error_norms(mesh, k, u_h, f, df)
+    assert_close(np.array([got.l2, got.d]), np.array(want))
+
+
+def degenerate_mesh(dim):
+    """Mesh whose first degenerate cell has a nonzero index: one interior
+    vertex is moved onto the facet of a cell opposite to it."""
+    mesh = build_unit_square_mesh(4) if dim == 2 else build_unit_cube_mesh(2)
+    interior = np.nonzero(~mesh.boundary[0])[0]
+    cid = max(np.nonzero(np.isin(mesh.cells, interior).any(axis=1))[0])
+    verts = mesh.cells[cid]
+    moved = next(v for v in verts if v in interior)
+    others = [v for v in verts if v != moved]
+    mesh.vertices[moved] = mesh.vertices[others].mean(axis=0)
+    first = None
+    for c in range(mesh.num_cells):
+        try:
+            cell_geometry(mesh, c)
+        except ValueError:
+            first = c
+            break
+    assert first is not None and first > 0
+    return mesh, first
+
+
+@pytest.mark.parametrize("dim,k", [(2, 1), (3, 1)])
+def test_degenerate_cell_is_named(dim, k):
+    mesh, first = degenerate_mesh(dim)
+    beta = beta_field(dim)
+    with pytest.raises(ValueError, match=rf"degenerate cell {first}\b"):
+        mesh_geometry(mesh)
+    with pytest.raises(ValueError, match=rf"degenerate cell {first}\b"):
+        assemble(mesh, k, 0.5, beta, 1.0)
+    with pytest.raises(ValueError, match=rf"degenerate cell {first}\b"):
+        assemble_load(mesh, k, vector_field)
+    u_h = np.zeros(mesh.num_entities(k))
+    df = scalar_field if dim == 2 else vector_field
+    with pytest.raises(ValueError, match=rf"degenerate cell {first}\b"):
+        error_norms(mesh, k, u_h, vector_field, df)
+
+
+@pytest.mark.parametrize("dim,k", CONVECTIVE_SPECIES)
+def test_nonpositive_callable_alpha_is_named(dim, k):
+    mesh = build_unit_square_mesh(4) if dim == 2 else build_unit_cube_mesh(2)
+    cid = mesh.num_cells - 3
+    xc = cell_geometry(mesh, cid).barycenter
+
+    def alpha(x):
+        return np.where(np.all(np.abs(x - xc) < 1e-12, axis=1), -1.0, 1.0)
+
+    with pytest.raises(ValueError, match=rf"alpha <= 0 at barycenter of cell {cid}\b"):
+        assemble(mesh, k, alpha, beta_field(dim))
