@@ -12,7 +12,6 @@ from .assembly import (
     local_safe_oracle,
 )
 from .exponential import (
-    BernoulliValue,
     CellCoefficients,
     LocalExpOperators,
     bernoulli1,
@@ -26,7 +25,6 @@ from .exponential import (
 from .mesh import (
     DIAG_LL_UR,
     DIAG_UL_LR,
-    CellGeometry,
     MeshComplex,
     build_unit_cube_mesh,
     build_unit_square_mesh,

@@ -18,21 +18,31 @@ evaluation through the conjugated difference operators and the averaging
 maps; both routes agree to rounding.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .exponential import _bernoulli_value, _eval_at, local_exp_operators
-from .mesh import cell_blocks, cell_geometry, local_subsimplices, mesh_geometry
+from .exponential import (
+    _averaged_coefficients,
+    _bernoulli_value,
+    _eval_at,
+    local_exp_operators,
+)
+from .mesh import (
+    _geometry,
+    cell_blocks,
+    local_subsimplices,
+    mesh_geometry,
+    opposite_vertices,
+)
 from .quadrature import reference_simplex_rule, simplex_measures, simplex_rules
 from .whitney import (
     DofMap,
     LocalFormMatrix,
+    basis_derivatives,
     basis_values,
     dof_map,
-    facet_outward_signs,
     mass_matrices,
 )
 
@@ -53,92 +63,51 @@ class GraphWeights:
     top: float | None = None
 
 
+def _edge_weights(geo, k):
+    """Graph weights per local edge E of every cell of ``geo``,
+    (ncells, nedges): ``omega_E = -|T| (grad lam_i, grad lam_j)`` for
+    k = 0, and for the 3d edge space ``omega_FF' = -|T|/2 ||curl phi_E||^2``
+    of the two faces F, F' that share E."""
+    if k == 0:
+        g = geo.lambda_grads
+        i, j = np.array(local_subsimplices(g.shape[2], 1)).T
+        return -geo.volume[:, None] * np.vecdot(g[:, i], g[:, j])
+    curls = basis_derivatives(geo, 1)
+    return -0.5 * geo.volume[:, None] * np.vecdot(curls, curls)
+
+
+def _face_pairs():
+    """Ordered pairs (a, b) of distinct local faces of a tetrahedron, with
+    the local index of their shared edge (i, j) and the remaining vertex
+    kv of face a and lv of face b."""
+    edges = local_subsimplices(3, 1)
+    faces = local_subsimplices(3, 2)
+    pairs = []
+    for a, fa in enumerate(faces):
+        for b, fb in enumerate(faces):
+            if a != b:
+                i, j = sorted(set(fa) & set(fb))
+                kv = next(v for v in fa if v not in (i, j))
+                lv = next(v for v in fb if v not in (i, j))
+                pairs.append((a, b, edges.index((i, j)), i, j, kv, lv))
+    return pairs
+
+
 def graph_weights(mesh, cell_id, k):
     """Graph-Laplacian weights of one cell for degree k."""
-    geom = cell_geometry(mesh, cell_id)
-    return _graph_weights(geom, k, mesh.dim)
-
-
-def _graph_weights(geom, k, n):
-    g = geom.lambda_grads
+    n = mesh.dim
+    geo = _geometry(mesh, [cell_id])
     if k == 0:
-        edges = local_subsimplices(n, 1)
-        w = np.array([-geom.volume * (g[i] @ g[j]) for i, j in edges])
-        return GraphWeights(geom.cell, k, edge=w)
+        return GraphWeights(cell_id, k, edge=_edge_weights(geo, k)[0])
     if k == 1 and n == 3:
-        faces = local_subsimplices(3, 2)
+        omega = _edge_weights(geo, k)[0]
         W = np.zeros((4, 4))
-        for a in range(4):
-            for b in range(a + 1, 4):
-                i, j = sorted(set(faces[a]) & set(faces[b]))
-                cr = np.cross(g[i], g[j])
-                W[a, b] = W[b, a] = -2.0 * geom.volume * (cr @ cr)
-        return GraphWeights(geom.cell, k, face_pair=W)
+        for a, b, e, *_ in _face_pairs():
+            W[a, b] = omega[e]
+        return GraphWeights(cell_id, k, face_pair=W)
     if k == n - 1:
-        return GraphWeights(geom.cell, k, top=1.0 / geom.volume)
+        return GraphWeights(cell_id, k, top=float(1.0 / geo.volume[0]))
     raise ValueError(f"no graph weights for k={k} in dimension {n}")
-
-
-def _local_safe_array(geom, k, coeffs, n):
-    eps = coeffs.alpha_bar
-    bbar = np.asarray(coeffs.beta_bar, dtype=float)
-    t = geom.tangents
-    if k == 0:
-        g = geom.lambda_grads
-        A = np.zeros((n + 1, n + 1))
-        for i, j in local_subsimplices(n, 1):
-            omega = -geom.volume * (g[i] @ g[j])
-            s = float(bbar @ t[i, j])
-            bij = _bernoulli_value(eps, (s,))
-            bji = _bernoulli_value(eps, (-s,))
-            A[j, j] += omega * bji
-            A[j, i] -= omega * bij
-            A[i, j] -= omega * bji
-            A[i, i] += omega * bij
-        return A
-    if k == 1 and n == 3:
-        g = geom.lambda_grads
-        edges = local_subsimplices(3, 1)
-        eidx = {e: m for m, e in enumerate(edges)}
-        faces = local_subsimplices(3, 2)
-        A = np.zeros((6, 6))
-        for fa in range(4):
-            for fb in range(4):
-                if fa == fb:
-                    continue
-                i, j = sorted(set(faces[fa]) & set(faces[fb]))
-                kv = next(v for v in faces[fa] if v != i and v != j)
-                lv = next(v for v in faces[fb] if v != i and v != j)
-                cr = np.cross(g[i], g[j])
-                omega = -2.0 * geom.volume * (cr @ cr)
-                # trial: boundary cycle i -> j -> kv of the face fa, each
-                # directed edge weighted by B_2 at (drift along the edge,
-                # drift to the remaining face vertex)
-                trial = np.zeros(6)
-                for p, q, o in ((i, j, kv), (j, kv, i), (kv, i, j)):
-                    val = _bernoulli_value(
-                        eps, (float(bbar @ t[p, q]), float(bbar @ t[p, o]))
-                    )
-                    sgn = 1.0 if p < q else -1.0
-                    trial[eidx[(min(p, q), max(p, q))]] += sgn * val
-                test = np.zeros(6)
-                for p, q in ((i, j), (j, lv), (lv, i)):
-                    test[eidx[(min(p, q), max(p, q))]] += 1.0 if p < q else -1.0
-                A -= omega * np.outer(test, trial)
-        return A
-    if k == n - 1:
-        facets = local_subsimplices(n, n - 1)
-        signs = facet_outward_signs(geom).astype(float)
-        coef = np.empty(len(facets))
-        for m, fac in enumerate(facets):
-            opp = next(v for v in range(n + 1) if v not in fac)
-            p = fac[0]
-            args = tuple(float(bbar @ t[p, q]) for q in fac[1:]) + (
-                float(bbar @ t[p, opp]),
-            )
-            coef[m] = _bernoulli_value(eps, args)
-        return np.outer(signs, signs * coef) / geom.volume
-    raise ValueError(f"no convective-diffusive form for k={k} in dimension {n}")
 
 
 def local_safe_matrix(mesh, cell_id, k, coeffs):
@@ -146,10 +115,10 @@ def local_safe_matrix(mesh, cell_id, k, coeffs):
 
     ``coeffs.alpha_bar = 0`` selects the upwind limit branch.
     """
-    geom = cell_geometry(mesh, cell_id)
-    return LocalFormMatrix(
-        cell_id, k, "safe", _local_safe_array(geom, k, coeffs, mesh.dim)
-    )
+    geo = _geometry(mesh, [cell_id])
+    bbar = np.asarray(coeffs.beta_bar, dtype=float)[None]
+    matrix = _safe_matrices(geo, k, [coeffs.alpha_bar], bbar)[0]
+    return LocalFormMatrix(cell_id, k, "safe", matrix)
 
 
 def local_safe_oracle(mesh, cell_id, k, coeffs):
@@ -161,21 +130,20 @@ def local_safe_oracle(mesh, cell_id, k, coeffs):
     if not coeffs.alpha_bar > 0 or coeffs.theta_bar is None:
         raise ValueError("oracle route needs alpha_bar > 0 and theta_bar")
     n = mesh.dim
-    geom = cell_geometry(mesh, cell_id)
-    ops = local_exp_operators(mesh, cell_id, k, coeffs.theta_bar)
-    J = ops.j_k
-    g = geom.lambda_grads
+    geo = _geometry(mesh, [cell_id])
+    geom = geo[0]
+    d = basis_derivatives(geo, k)[0]
+    J = local_exp_operators(mesh, cell_id, k, coeffs.theta_bar).j_k
     scale = coeffs.alpha_bar * geom.volume
     if k == 0:
-        edges = local_subsimplices(n, 1)
-        P = np.zeros((n, len(edges)))
-        for e, (i, j) in enumerate(edges):
-            omega = -geom.volume * (g[i] @ g[j])
-            P[:, e] = omega * (geom.edge_lengths[e] / geom.volume) * geom.edge_tangents[e]
-        return LocalFormMatrix(cell_id, k, "safe-oracle", scale * (g @ (P @ J)))
+        w = graph_weights(mesh, cell_id, k).edge
+        P = np.zeros((n, len(w)))
+        for e, (i, j) in enumerate(local_subsimplices(n, 1)):
+            P[:, e] = w[e] * geom.tangents[i, j] / geom.volume
+        return LocalFormMatrix(cell_id, k, "safe-oracle", scale * (d @ (P @ J)))
     if k == 1 and n == 3:
-        W = _graph_weights(geom, k, n).face_pair
-        signs = facet_outward_signs(geom).astype(float)
+        W = graph_weights(mesh, cell_id, k).face_pair
+        signs = geom.facet_signs.astype(float)
         n_out = signs[:, None] * geom.facet_normals
         P = np.zeros((3, 4))
         for fa in range(4):
@@ -184,16 +152,10 @@ def local_safe_oracle(mesh, cell_id, k, coeffs):
                 if fb != fa:
                     acc += W[fa, fb] * (geom.facet_measures[fb] / geom.volume) * n_out[fb]
             P[:, fa] = signs[fa] * acc
-        edges = local_subsimplices(3, 1)
-        curls = np.array([2.0 * np.cross(g[i], g[j]) for i, j in edges])
-        return LocalFormMatrix(cell_id, k, "safe-oracle", scale * (curls @ (P @ J)))
+        return LocalFormMatrix(cell_id, k, "safe-oracle", scale * (d @ (P @ J)))
     if k == n - 1:
-        signs = facet_outward_signs(geom).astype(float)
-        div_rows = signs / geom.volume
         fvals = J[0] / geom.volume
-        return LocalFormMatrix(
-            cell_id, k, "safe-oracle", scale * np.outer(div_rows, fvals)
-        )
+        return LocalFormMatrix(cell_id, k, "safe-oracle", scale * np.outer(d, fvals))
     raise ValueError(f"no oracle form for k={k} in dimension {n}")
 
 
@@ -218,89 +180,53 @@ def _kernel_values(eps, *args):
 
 def _safe_matrices(geo, k, eps, bbar):
     """Local convective-diffusive matrices of every cell of ``geo``,
-    (ncells, nloc, nloc).  Each entry is the sequence of operations of
-    ``_local_safe_array``, so entries that cancel there cancel here."""
+    (ncells, nloc, nloc), for kernel parameters ``eps`` (a list) and
+    averaged drifts ``bbar`` (ncells, n)."""
     n = geo.vertices.shape[2]
     ncells = len(geo.volume)
-    g = geo.lambda_grads
     t = geo.tangents
     if k == 0:
+        omega = _edge_weights(geo, k)
         A = np.zeros((ncells, n + 1, n + 1))
-        for i, j in local_subsimplices(n, 1):
-            omega = -geo.volume * np.vecdot(g[:, i], g[:, j])
+        for e, (i, j) in enumerate(local_subsimplices(n, 1)):
             s = np.vecdot(bbar, t[:, i, j])
             bij = _kernel_values(eps, s)
             bji = _kernel_values(eps, -s)
-            A[:, j, j] += omega * bji
-            A[:, j, i] -= omega * bij
-            A[:, i, j] -= omega * bji
-            A[:, i, i] += omega * bij
+            A[:, j, j] += omega[:, e] * bji
+            A[:, j, i] -= omega[:, e] * bij
+            A[:, i, j] -= omega[:, e] * bji
+            A[:, i, i] += omega[:, e] * bij
         return A
     if k == 1 and n == 3:
-        edges = local_subsimplices(3, 1)
-        eidx = {e: m for m, e in enumerate(edges)}
-        faces = local_subsimplices(3, 2)
+        omega = _edge_weights(geo, k)
+        eidx = {e: m for m, e in enumerate(local_subsimplices(3, 1))}
         A = np.zeros((ncells, 6, 6))
-        for fa in range(4):
-            for fb in range(4):
-                if fa == fb:
-                    continue
-                i, j = sorted(set(faces[fa]) & set(faces[fb]))
-                kv = next(v for v in faces[fa] if v != i and v != j)
-                lv = next(v for v in faces[fb] if v != i and v != j)
-                cr = np.cross(g[:, i], g[:, j])
-                omega = -2.0 * geo.volume * np.vecdot(cr, cr)
-                trial = np.zeros((ncells, 6))
-                for p, q, o in ((i, j, kv), (j, kv, i), (kv, i, j)):
-                    val = _kernel_values(
-                        eps, np.vecdot(bbar, t[:, p, q]), np.vecdot(bbar, t[:, p, o])
-                    )
-                    sgn = 1.0 if p < q else -1.0
-                    trial[:, eidx[(min(p, q), max(p, q))]] += sgn * val
-                test = np.zeros(6)
-                for p, q in ((i, j), (j, lv), (lv, i)):
-                    test[eidx[(min(p, q), max(p, q))]] += 1.0 if p < q else -1.0
-                A -= omega[:, None, None] * (test[None, :, None] * trial[:, None, :])
+        for _, _, e, i, j, kv, lv in _face_pairs():
+            # trial: boundary cycle i -> j -> kv of the first face, each
+            # directed edge weighted by B_2 at (drift along the edge, drift
+            # to the remaining face vertex); test: the cycle i -> j -> lv
+            trial = np.zeros((ncells, 6))
+            for p, q, o in ((i, j, kv), (j, kv, i), (kv, i, j)):
+                val = _kernel_values(
+                    eps, np.vecdot(bbar, t[:, p, q]), np.vecdot(bbar, t[:, p, o])
+                )
+                sgn = 1.0 if p < q else -1.0
+                trial[:, eidx[(min(p, q), max(p, q))]] += sgn * val
+            test = np.zeros(6)
+            for p, q in ((i, j), (j, lv), (lv, i)):
+                test[eidx[(min(p, q), max(p, q))]] += 1.0 if p < q else -1.0
+            A -= omega[:, e, None, None] * (test[None, :, None] * trial[:, None, :])
         return A
     if k == n - 1:
         signs = geo.facet_signs.astype(float)
         coef = np.empty((ncells, n + 1))
-        for m, fac in enumerate(local_subsimplices(n, n - 1)):
-            opp = next(v for v in range(n + 1) if v not in fac)
+        facets = local_subsimplices(n, n - 1)
+        for m, (fac, opp) in enumerate(zip(facets, opposite_vertices(n))):
             p = fac[0]
             args = [np.vecdot(bbar, t[:, p, q]) for q in fac[1:]]
             coef[:, m] = _kernel_values(eps, *args, np.vecdot(bbar, t[:, p, opp]))
         return signs[:, :, None] * (signs * coef)[:, None, :] / geo.volume[:, None, None]
     raise ValueError(f"no convective-diffusive form for k={k} in dimension {n}")
-
-
-def _eval_field(fn, pts):
-    """A vectorized callable at stacked points (ncells, npts, n), shaped
-    (ncells, npts) or (ncells, npts, n)."""
-    vals = np.asarray(fn(pts.reshape(-1, pts.shape[2])), dtype=float)
-    return vals.reshape(pts.shape[:2] + vals.shape[1:])
-
-
-def _averaged_coefficients(geo, alpha, beta, degree):
-    """Per-cell kernel eps (a list) and averaged drift ``beta_bar`` of a
-    block, as ``cell_coefficients`` computes them cell by cell."""
-    xc = geo.barycenter
-    alpha_c = _eval_at(alpha, xc)
-    bad = np.nonzero(~(alpha_c > 0))[0]
-    if bad.size:
-        raise ValueError(f"alpha <= 0 at barycenter of cell {geo.cell_ids[bad[0]]}")
-    if callable(alpha):
-        pts, wts = simplex_rules(geo.vertices, degree)
-        alpha_bar = np.vecdot(_eval_field(alpha, pts), wts) / geo.volume
-        bad = np.nonzero(~(alpha_bar > 0))[0]
-        if bad.size:
-            raise ValueError(
-                f"alpha has nonpositive mean on cell {geo.cell_ids[bad[0]]}"
-            )
-    else:
-        alpha_bar = alpha_c
-    theta_bar = _eval_at(beta, xc) / alpha_c[:, None]
-    return alpha_bar.tolist(), alpha_bar[:, None] * theta_bar
 
 
 def _weighted_masses(geo, k, gamma, degree):
@@ -309,7 +235,7 @@ def _weighted_masses(geo, k, gamma, degree):
     if not callable(gamma):
         return float(gamma) * mass_matrices(geo, k)
     pts, wts = simplex_rules(geo.vertices, degree)
-    gvals = _eval_field(gamma, pts) * wts
+    gvals = _eval_at(gamma, pts) * wts
     vals = basis_values(geo, k, pts)
     if vals.ndim == 3:
         return np.einsum("cq,cqa,cqb->cab", gvals, vals, vals)
@@ -342,7 +268,10 @@ def assemble(mesh, k, alpha, beta, gamma=0.0, scheme="primal", quad_degree=4):
             eps = [0.0] * len(block.volume)
             bbar = _eval_at(beta, block.barycenter)
         else:
-            eps, bbar = _averaged_coefficients(block, alpha, beta, quad_degree)
+            alpha_bar, _, bbar = _averaged_coefficients(
+                block, alpha, beta, quad_degree
+            )
+            eps = alpha_bar.tolist()
         A = _safe_matrices(block, k, eps, bbar)
         if with_mass:
             A = A + _weighted_masses(block, k, gamma, quad_degree)
@@ -387,7 +316,7 @@ def assemble_load(mesh, k, f, degree=4, neumann=None, g=None):
     for cells in cell_blocks(mesh.num_cells, reference_simplex_rule(n, degree)[1].size):
         block = geo[cells]
         pts, wts = simplex_rules(block.vertices, degree)
-        loc = _basis_integrals(_eval_field(f, pts), wts, basis_values(block, k, pts))
+        loc = _basis_integrals(_eval_at(f, pts), wts, basis_values(block, k, pts))
         np.add.at(rhs, dm.cell_dofs[cells], loc)
     if neumann is not None:
         if g is None:
@@ -412,7 +341,7 @@ def _natural_boundary_load(mesh, geo, k, facet_ids, g, degree):
     cells = facet_cell[fids]
     fverts = mesh.vertices[mesh.simplices[n - 1][fids]]
     pts, wts = simplex_rules(fverts, degree)
-    gvals = _eval_field(g, pts)
+    gvals = _eval_at(g, pts)
     if k == n - 1:
         slots = np.argmax(cell_facets[cells] == fids[:, None], axis=1)
         signs = geo.facet_signs[cells, slots]

@@ -196,17 +196,17 @@ def _cmd_bernoulli_table(cfg):
     for eps in cfg.eps:
         for s in grid:
             b = bernoulli1(eps, float(s))
-            lines.append(f"b1,{eps:.9g},{s:.9g},,,{b.value:.9g}")
+            lines.append(f"b1,{eps:.9g},{s:.9g},,,{b:.9g}")
         for s in grid:
             for t in grid:
                 b = bernoulli2(eps, float(s), float(t))
-                lines.append(f"b2,{eps:.9g},{s:.9g},{t:.9g},,{b.value:.9g}")
+                lines.append(f"b2,{eps:.9g},{s:.9g},{t:.9g},,{b:.9g}")
         for s in grid:
             for t in grid:
                 for r in grid:
                     b = bernoulli3(eps, float(s), float(t), float(r))
                     lines.append(
-                        f"b3,{eps:.9g},{s:.9g},{t:.9g},{r:.9g},{b.value:.9g}"
+                        f"b3,{eps:.9g},{s:.9g},{t:.9g},{r:.9g},{b:.9g}"
                     )
     path = os.path.join(cfg.outdir, "bernoulli_table.csv")
     with open(path, "w") as fh:

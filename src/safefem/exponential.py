@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import cell_geometry, local_subsimplices
-from .quadrature import simplex_rule
+from .mesh import _geometry, cell_geometry, local_subsimplices
+from .quadrature import simplex_rules
 from .whitney import local_incidence
 
 # Beyond this spread the sorted recursion is well conditioned; below it the
@@ -150,28 +150,19 @@ def _bernoulli_value(eps, args):
     return eps * math.exp(mu_n - mu_d) * rho_n / rho_d
 
 
-@dataclass(frozen=True)
-class BernoulliValue:
-    """Kernel value together with the (eps, arguments) it was taken at."""
-
-    value: float
-    eps: float
-    args: tuple
-
-
 def bernoulli1(eps, s):
     """Edge kernel; eps = 0 selects the upwind limit."""
-    return BernoulliValue(_bernoulli_value(eps, (s,)), eps, (s,))
+    return _bernoulli_value(eps, (s,))
 
 
 def bernoulli2(eps, s, t):
     """Face kernel, symmetric in nothing but stable everywhere."""
-    return BernoulliValue(_bernoulli_value(eps, (s, t)), eps, (s, t))
+    return _bernoulli_value(eps, (s, t))
 
 
 def bernoulli3(eps, s, t, r):
     """Cell kernel (3d), symmetric in its first two arguments."""
-    return BernoulliValue(_bernoulli_value(eps, (s, t, r)), eps, (s, t, r))
+    return _bernoulli_value(eps, (s, t, r))
 
 
 @dataclass(frozen=True)
@@ -193,13 +184,39 @@ class CellCoefficients:
 
 
 def _eval_at(coeff, points):
-    """Evaluate a constant or vectorized-callable coefficient."""
+    """A constant or vectorized-callable coefficient at points of shape
+    (..., n), shaped (...) for scalar and (..., n) for vector data."""
+    flat = points.reshape(-1, points.shape[-1])
     if callable(coeff):
-        return np.asarray(coeff(points), dtype=float)
-    arr = np.asarray(coeff, dtype=float)
-    if arr.ndim == 0:
-        return np.full(points.shape[0], float(arr))
-    return np.tile(arr, (points.shape[0], 1))
+        vals = np.asarray(coeff(flat), dtype=float)
+    else:
+        arr = np.asarray(coeff, dtype=float)
+        vals = np.tile(arr, (len(flat),) + (1,) * arr.ndim)
+    return vals.reshape(points.shape[:-1] + vals.shape[1:])
+
+
+def _averaged_coefficients(geo, alpha, beta, degree):
+    """Averaged coefficients of every cell of ``geo`` (a MeshGeometry):
+    arrays ``alpha_bar``, ``theta_bar`` and ``beta_bar`` as described in
+    CellCoefficients.  Raises ValueError naming the first cell where
+    alpha is not positive at the barycenter or in quadrature mean."""
+    xc = geo.barycenter
+    alpha_c = _eval_at(alpha, xc)
+    bad = np.nonzero(~(alpha_c > 0))[0]
+    if bad.size:
+        raise ValueError(f"alpha <= 0 at barycenter of cell {geo.cell_ids[bad[0]]}")
+    if callable(alpha):
+        pts, wts = simplex_rules(geo.vertices, degree)
+        alpha_bar = np.vecdot(_eval_at(alpha, pts), wts) / geo.volume
+        bad = np.nonzero(~(alpha_bar > 0))[0]
+        if bad.size:
+            raise ValueError(
+                f"alpha has nonpositive mean on cell {geo.cell_ids[bad[0]]}"
+            )
+    else:
+        alpha_bar = alpha_c
+    theta_bar = _eval_at(beta, xc) / alpha_c[:, None]
+    return alpha_bar, theta_bar, alpha_bar[:, None] * theta_bar
 
 
 def cell_coefficients(mesh, cell_id, alpha, beta, gamma=None, degree=4):
@@ -208,23 +225,12 @@ def cell_coefficients(mesh, cell_id, alpha, beta, gamma=None, degree=4):
     ``alpha`` must be positive at the barycenter and in quadrature mean;
     ``beta`` returns a length-dim vector per point.
     """
-    geom = cell_geometry(mesh, cell_id)
-    xc = geom.barycenter[None, :]
-    alpha_c = float(_eval_at(alpha, xc)[0])
-    if not alpha_c > 0:
-        raise ValueError(f"alpha <= 0 at barycenter of cell {cell_id}")
-    if callable(alpha):
-        pts, wts = simplex_rule(geom.vertices, degree)
-        alpha_bar = float(_eval_at(alpha, pts) @ wts) / geom.volume
-    else:
-        alpha_bar = alpha_c
-    if not alpha_bar > 0:
-        raise ValueError(f"alpha has nonpositive mean on cell {cell_id}")
-    theta_bar = _eval_at(beta, xc)[0] / alpha_c
+    geo = _geometry(mesh, [cell_id])
+    alpha_bar, theta_bar, beta_bar = _averaged_coefficients(geo, alpha, beta, degree)
     return CellCoefficients(
-        alpha_bar=alpha_bar,
-        theta_bar=theta_bar,
-        beta_bar=alpha_bar * theta_bar,
+        alpha_bar=float(alpha_bar[0]),
+        theta_bar=theta_bar[0],
+        beta_bar=beta_bar[0],
         gamma=gamma,
     )
 

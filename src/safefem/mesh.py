@@ -28,6 +28,15 @@ def local_subsimplices(n, k):
     return list(itertools.combinations(range(n + 1), k + 1))
 
 
+def opposite_vertices(n):
+    """Local vertex opposite each local facet of an n-simplex, in facet
+    order."""
+    return [
+        next(i for i in range(n + 1) if i not in fac)
+        for fac in local_subsimplices(n, n - 1)
+    ]
+
+
 @dataclass
 class MeshComplex:
     """Simplicial complex with entity tables for every dimension.
@@ -97,17 +106,16 @@ def _build_complex(dim, vertices, cells, diagonal=None):
     bfacets = simplices[dim - 1][boundary[dim - 1]]
     bverts[bfacets.ravel()] = True
     boundary[0] = bverts
+    # vertex containment is not sufficient; an entity is boundary only if
+    # it is a subsimplex of some boundary facet
+    on_boundary = boundary[dim - 1][cell_entities[dim - 1]]
     for k in range(1, dim - 1):
-        # vertex containment is not sufficient; an entity is boundary only
-        # if it is a subsimplex of some boundary facet
-        on_boundary = set()
-        for f in bfacets:
-            on_boundary.update(itertools.combinations(f.tolist(), k + 1))
-        boundary[k] = np.fromiter(
-            (tuple(ent) in on_boundary for ent in simplices[k].tolist()),
-            count=simplices[k].shape[0],
-            dtype=bool,
-        )
+        locs = local_subsimplices(dim, k)
+        flags = np.zeros(simplices[k].shape[0], dtype=bool)
+        for m, fac in enumerate(local_subsimplices(dim, dim - 1)):
+            for sub in itertools.combinations(fac, k + 1):
+                flags[cell_entities[k][on_boundary[:, m], locs.index(sub)]] = True
+        boundary[k] = flags
     return MeshComplex(
         dim=dim,
         vertices=np.asarray(vertices, dtype=float),
@@ -133,21 +141,16 @@ def build_unit_square_mesh(n, diagonal=DIAG_LL_UR):
     X, Y = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
-    def vid(i, j):
-        return i + (n + 1) * j
-
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            if diagonal == DIAG_LL_UR:
-                cells.append((v00, v10, v11))
-                cells.append((v00, v11, v01))
-            else:
-                cells.append((v00, v10, v01))
-                cells.append((v10, v11, v01))
-    return _build_complex(2, vertices, cells, diagonal=diagonal)
+    # lower-left corner of each square, squares ordered with x fastest
+    j, i = np.divmod(np.arange(n * n), n)
+    v00 = i + (n + 1) * j
+    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+    if diagonal == DIAG_LL_UR:
+        pair = [(v00, v10, v11), (v00, v11, v01)]
+    else:
+        pair = [(v00, v10, v01), (v10, v11, v01)]
+    cells = np.stack([np.stack(tri, axis=1) for tri in pair], axis=1)
+    return _build_complex(2, vertices, cells.reshape(-1, 3), diagonal=diagonal)
 
 
 def build_unit_cube_mesh(n):
@@ -163,88 +166,17 @@ def build_unit_cube_mesh(n):
     # id = ix + (n+1) iy + (n+1)^2 iz
     vertices = grid.transpose(2, 1, 0, 3).reshape(-1, 3)
 
-    def vid(i, j, k):
-        return i + (n + 1) * (j + (n + 1) * k)
-
-    axes = np.eye(3, dtype=np.int64)
-    cells = []
-    for k in range(n):
-        for j in range(n):
-            for i in range(n):
-                base = np.array([i, j, k])
-                for perm in itertools.permutations(range(3)):
-                    path = [base]
-                    for ax in perm:
-                        path.append(path[-1] + axes[ax])
-                    cells.append(tuple(vid(*p) for p in path))
-    return _build_complex(3, vertices, cells)
-
-
-@dataclass
-class CellGeometry:
-    """Metric data of one cell.
-
-    ``tangents`` holds the full antisymmetric table t[i, j] = a_j - a_i of
-    vertex offsets; edge/face data follows the local subsimplex order.
-    In 2d, ``facet_normals`` are the clockwise-rotated edge tangents; in
-    3d they are the sorted-order face normals.
-    """
-
-    cell: int
-    vertices: np.ndarray
-    volume: float
-    barycenter: np.ndarray
-    lambda_grads: np.ndarray
-    tangents: np.ndarray
-    edge_lengths: np.ndarray
-    edge_tangents: np.ndarray
-    facet_measures: np.ndarray
-    facet_normals: np.ndarray
-
-
-def cell_geometry(mesh, cell_id):
-    """Compute the CellGeometry of one cell, raising on degeneracy."""
-    n = mesh.dim
-    verts = mesh.vertices[mesh.cells[cell_id]]
-    mat = verts[1:] - verts[0]
-    det = np.linalg.det(mat)
-    volume = abs(det) / math.factorial(n)
-    scale = np.max(np.abs(mat)) ** n
-    if volume <= 1e-14 * max(scale, 1e-300):
-        raise ValueError(f"degenerate cell {cell_id}: measure {volume}")
-    aug = np.hstack([np.ones((n + 1, 1)), verts])
-    lambda_grads = np.linalg.inv(aug)[1:, :].T.copy()
-    tangents = verts[None, :, :] - verts[:, None, :]
-
-    edges = local_subsimplices(n, 1)
-    tvec = np.array([verts[j] - verts[i] for i, j in edges])
-    elen = np.linalg.norm(tvec, axis=1)
-    etan = tvec / elen[:, None]
-
-    facets = local_subsimplices(n, n - 1)
-    if n == 2:
-        fmeas = elen.copy()
-        fnorm = np.column_stack([etan[:, 1], -etan[:, 0]])
-    else:
-        fmeas = np.empty(len(facets))
-        fnorm = np.empty((len(facets), 3))
-        for m, (i, j, k) in enumerate(facets):
-            cr = np.cross(verts[j] - verts[i], verts[k] - verts[i])
-            area = 0.5 * np.linalg.norm(cr)
-            fmeas[m] = area
-            fnorm[m] = cr / (2.0 * area)
-    return CellGeometry(
-        cell=cell_id,
-        vertices=verts,
-        volume=volume,
-        barycenter=verts.mean(axis=0),
-        lambda_grads=lambda_grads,
-        tangents=tangents,
-        edge_lengths=elen,
-        edge_tangents=etan,
-        facet_measures=fmeas,
-        facet_normals=fnorm,
+    # each tetrahedron walks from the subcube's lowest corner to its
+    # highest along the axes in the order of one permutation
+    strides = np.array([1, n + 1, (n + 1) ** 2])
+    steps = strides[list(itertools.permutations(range(3)))]
+    paths = np.concatenate(
+        [np.zeros((6, 1), dtype=np.int64), steps.cumsum(axis=1)], axis=1
     )
+    k, j, i = np.unravel_index(np.arange(n**3), (n, n, n))
+    base = i + (n + 1) * (j + (n + 1) * k)
+    cells = base[:, None, None] + paths[None]
+    return _build_complex(3, vertices, cells.reshape(-1, 4))
 
 
 # Whole-mesh passes work through the cells in consecutive blocks holding
@@ -263,12 +195,15 @@ def cell_blocks(num_cells, points_per_cell):
 class MeshGeometry:
     """Metric data of many cells, stacked along a leading cell axis.
 
-    Row c repeats, operation for operation, what ``cell_geometry`` gives
-    for cell ``cell_ids[c]``: ``vertices`` (N, n+1, n), ``volume`` (N,),
-    ``barycenter`` (N, n), ``lambda_grads`` (N, n+1, n) and the offset
-    table ``tangents`` (N, n+1, n+1, n).  ``facet_signs`` (N, n+1) is +1
-    where the stored normal of a local facet points out of the cell.
-    Indexing with a slice or an index array selects cells.
+    Row c belongs to cell ``cell_ids[c]``: ``vertices`` (N, n+1, n),
+    ``volume`` (N,), ``barycenter`` (N, n), ``lambda_grads`` (N, n+1, n),
+    the offset table ``tangents`` (N, n+1, n+1, n) with
+    t[i, j] = a_j - a_i, and per local facet the unit ``facet_normals``
+    (N, n+1, n), ``facet_measures`` (N, n+1) and ``facet_signs`` (N, n+1),
+    +1 where the stored normal points out of the cell.  In 2d the stored
+    normals are the clockwise-rotated edge tangents, in 3d the
+    sorted-order face normals.  Indexing with a slice or an index array
+    selects cells; an integer index gives one cell without the cell axis.
     """
 
     cell_ids: np.ndarray
@@ -277,6 +212,8 @@ class MeshGeometry:
     barycenter: np.ndarray
     lambda_grads: np.ndarray
     tangents: np.ndarray
+    facet_normals: np.ndarray
+    facet_measures: np.ndarray
     facet_signs: np.ndarray
 
     def __getitem__(self, cells):
@@ -285,40 +222,57 @@ class MeshGeometry:
         )
 
 
-def mesh_geometry(mesh):
-    """MeshGeometry of all cells, raising on the first degenerate cell."""
+def _geometry(mesh, cell_ids):
+    """MeshGeometry of the cells ``cell_ids``, raising on the first
+    degenerate one."""
     n = mesh.dim
-    verts = mesh.vertices[mesh.cells]
+    cell_ids = np.asarray(cell_ids)
+    verts = mesh.vertices[mesh.cells[cell_ids]]
     mat = verts[:, 1:] - verts[:, :1]
     volume = np.abs(np.linalg.det(mat)) / math.factorial(n)
     scale = np.max(np.abs(mat), axis=(1, 2)) ** n
     bad = np.nonzero(~(volume > 1e-14 * np.maximum(scale, 1e-300)))[0]
     if bad.size:
-        cid = int(bad[0])
-        raise ValueError(f"degenerate cell {cid}: measure {volume[cid]}")
+        c = bad[0]
+        raise ValueError(f"degenerate cell {cell_ids[c]}: measure {volume[c]}")
     aug = np.concatenate([np.ones(verts.shape[:2] + (1,)), verts], axis=2)
     lambda_grads = np.linalg.inv(aug)[:, 1:, :].transpose(0, 2, 1).copy()
     tangents = verts[:, None, :, :] - verts[:, :, None, :]
 
-    signs = np.empty((len(verts), n + 1), dtype=np.int8)
-    for m, fac in enumerate(local_subsimplices(n, n - 1)):
-        opp = next(i for i in range(n + 1) if i not in fac)
-        edge = tangents[:, fac[0], fac[1]]
-        if n == 2:
-            normal = np.stack([edge[:, 1], -edge[:, 0]], axis=1)
-        else:
-            normal = np.cross(edge, tangents[:, fac[0], fac[2]])
-        mid = verts[:, list(fac)].mean(axis=1)
-        signs[:, m] = np.where(np.vecdot(normal, mid - verts[:, opp]) > 0, 1, -1)
+    facets = local_subsimplices(n, n - 1)
+    edge = np.stack([tangents[:, f[0], f[1]] for f in facets], axis=1)
+    if n == 2:
+        measures = np.linalg.norm(edge, axis=2)
+        normals = np.stack([edge[..., 1], -edge[..., 0]], axis=2) / measures[..., None]
+    else:
+        other = np.stack([tangents[:, f[0], f[2]] for f in facets], axis=1)
+        cross = np.cross(edge, other)
+        measures = 0.5 * np.linalg.norm(cross, axis=2)
+        normals = cross / (2.0 * measures[..., None])
+    mids = np.stack([verts[:, list(f)].mean(axis=1) for f in facets], axis=1)
+    outward = np.vecdot(normals, mids - verts[:, opposite_vertices(n)]) > 0
     return MeshGeometry(
-        cell_ids=np.arange(len(verts)),
+        cell_ids=cell_ids,
         vertices=verts,
         volume=volume,
         barycenter=verts.mean(axis=1),
         lambda_grads=lambda_grads,
         tangents=tangents,
-        facet_signs=signs,
+        facet_normals=normals,
+        facet_measures=measures,
+        facet_signs=np.where(outward, 1, -1).astype(np.int8),
     )
+
+
+def mesh_geometry(mesh):
+    """MeshGeometry of all cells, raising on the first degenerate cell."""
+    return _geometry(mesh, np.arange(mesh.num_cells))
+
+
+def cell_geometry(mesh, cell_id):
+    """Metric data of one cell: ``mesh_geometry`` restricted to this cell,
+    without the cell axis."""
+    return _geometry(mesh, [cell_id])[0]
 
 
 def entity_vertices(mesh, k, entity_id):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import cell_geometry, local_subsimplices, mesh_geometry
+from .mesh import _geometry, local_subsimplices, mesh_geometry, opposite_vertices
 from .quadrature import reference_simplex_rule
 
 
@@ -36,7 +36,6 @@ class DofMap:
     k: int
     num_dofs: int
     cell_dofs: np.ndarray
-    cell_signs: np.ndarray
     boundary: np.ndarray
 
 
@@ -44,26 +43,18 @@ def dof_map(mesh, k):
     """DofMap of the degree-k Whitney space; DOF ids are entity ids."""
     if not 0 <= k <= mesh.dim:
         raise ValueError(f"no degree-{k} space in dimension {mesh.dim}")
-    cell_dofs = mesh.cell_entities[k]
     return DofMap(
         k=k,
         num_dofs=mesh.num_entities(k),
-        cell_dofs=cell_dofs,
-        cell_signs=np.ones_like(cell_dofs, dtype=np.int8),
+        cell_dofs=mesh.cell_entities[k],
         boundary=mesh.boundary[k].copy(),
     )
 
 
 def facet_outward_signs(geom):
-    """+1 where the stored facet normal points out of the cell."""
-    n = geom.vertices.shape[1]
-    facets = local_subsimplices(n, n - 1)
-    signs = np.empty(len(facets), dtype=np.int8)
-    for m, fac in enumerate(facets):
-        opp = next(i for i in range(n + 1) if i not in fac)
-        mid = geom.vertices[list(fac)].mean(axis=0)
-        signs[m] = 1 if geom.facet_normals[m] @ (mid - geom.vertices[opp]) > 0 else -1
-    return signs
+    """+1 where the stored facet normal of the cell ``geom`` (from
+    ``cell_geometry``) points out of it."""
+    return geom.facet_signs
 
 
 def incidence(mesh, k):
@@ -153,48 +144,10 @@ def eval_basis(mesh, cell_id, k, points, tol=1e-10):
     Raises ValueError when a point lies outside the cell beyond ``tol``
     (in barycentric coordinates).
     """
-    n = mesh.dim
-    geom = cell_geometry(mesh, cell_id)
+    geo = _geometry(mesh, [cell_id])
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    g = geom.lambda_grads
-    lam = 1.0 / (n + 1) + (pts - geom.barycenter) @ g.T
-    if np.any(lam < -tol) or np.any(lam > 1.0 + tol):
-        raise ValueError(
-            f"point outside cell {cell_id}: barycentric range "
-            f"[{lam.min():.3e}, {lam.max():.3e}]"
-        )
-    if k == 0:
-        return WhitneyBasis(cell_id, k, lam, g.copy())
-    if k == n:
-        vals = np.full((pts.shape[0], 1), 1.0 / geom.volume)
-        return WhitneyBasis(cell_id, k, vals, np.zeros((1,)))
-    if n == 3 and k == 1:
-        edges = local_subsimplices(3, 1)
-        vals = np.empty((pts.shape[0], len(edges), 3))
-        curls = np.empty((len(edges), 3))
-        for e, (i, j) in enumerate(edges):
-            vals[:, e, :] = lam[:, i, None] * g[j] - lam[:, j, None] * g[i]
-            curls[e] = 2.0 * np.cross(g[i], g[j])
-        return WhitneyBasis(cell_id, k, vals, curls)
-    # facet space k = n-1
-    facets = local_subsimplices(n, n - 1)
-    signs = facet_outward_signs(geom)
-    vals = np.empty((pts.shape[0], len(facets), n))
-    divs = np.empty(len(facets))
-    for m, fac in enumerate(facets):
-        opp = next(i for i in range(n + 1) if i not in fac)
-        coef = signs[m] / (n * geom.volume)
-        vals[:, m, :] = coef * (pts - geom.vertices[opp])
-        divs[m] = signs[m] / geom.volume
-    return WhitneyBasis(cell_id, k, vals, divs)
-
-
-def _opposite_vertices(n):
-    """Local vertex opposite each local facet, in facet order."""
-    return [
-        next(i for i in range(n + 1) if i not in fac)
-        for fac in local_subsimplices(n, n - 1)
-    ]
+    vals = basis_values(geo, k, pts[None], tol)[0]
+    return WhitneyBasis(cell_id, k, vals, basis_derivatives(geo, k)[0])
 
 
 def basis_values(geo, k, points, tol=None):
@@ -202,10 +155,9 @@ def basis_values(geo, k, points, tol=None):
     that cell's own points, ``points`` of shape (ncells, npts, n).
 
     Returns (ncells, npts, nloc) for scalar species and
-    (ncells, npts, nloc, n) for vector species, with the arithmetic of
-    ``eval_basis``.  With ``tol`` set, raises ValueError naming the first
-    cell with a point outside it beyond ``tol`` in barycentric
-    coordinates.
+    (ncells, npts, nloc, n) for vector species.  With ``tol`` set,
+    raises ValueError naming the first cell with a point outside it
+    beyond ``tol`` in barycentric coordinates.
     """
     n = geo.vertices.shape[2]
     g = geo.lambda_grads
@@ -230,7 +182,7 @@ def basis_values(geo, k, points, tol=None):
             )
         return vals
     vals = np.empty(lam.shape[:2] + (n + 1, n))
-    for m, opp in enumerate(_opposite_vertices(n)):
+    for m, opp in enumerate(opposite_vertices(n)):
         coef = geo.facet_signs[:, m] / (n * geo.volume)
         vals[:, :, m, :] = coef[:, None, None] * (points - geo.vertices[:, None, opp])
     return vals
@@ -335,50 +287,9 @@ def _lambda_products(n, volume):
     return c * (np.ones((n + 1, n + 1)) + np.eye(n + 1))
 
 
-def _local_mass_array(geom, k):
-    n = geom.vertices.shape[1]
-    if k == 0:
-        return _lambda_products(n, geom.volume)
-    if k == n:
-        return np.array([[1.0 / geom.volume]])
-    if n == 3 and k == 1:
-        g = geom.lambda_grads
-        gg = g @ g.T
-        C = _lambda_products(n, geom.volume)
-        edges = local_subsimplices(3, 1)
-        M = np.empty((6, 6))
-        for e, (i, j) in enumerate(edges):
-            for f, (p, q) in enumerate(edges):
-                M[e, f] = (
-                    C[i, p] * gg[j, q]
-                    - C[i, q] * gg[j, p]
-                    - C[j, p] * gg[i, q]
-                    + C[j, q] * gg[i, p]
-                )
-        return M
-    # facet space
-    facets = local_subsimplices(n, n - 1)
-    signs = facet_outward_signs(geom)
-    verts = geom.vertices
-    vol = geom.volume
-    vsum = verts.sum(axis=0)
-    # second moment: int x.x dx
-    s2 = vol / ((n + 1) * (n + 2)) * ((verts * verts).sum() + vsum @ vsum)
-    m1 = vol * geom.barycenter
-    M = np.empty((len(facets), len(facets)))
-    for a, fa in enumerate(facets):
-        oa = verts[next(i for i in range(n + 1) if i not in fa)]
-        for b, fb in enumerate(facets):
-            ob = verts[next(i for i in range(n + 1) if i not in fb)]
-            val = s2 - ob @ m1 - oa @ m1 + (oa @ ob) * vol
-            M[a, b] = signs[a] * signs[b] * val / (n * vol) ** 2
-    return M
-
-
 def mass_matrices(geo, k):
     """Exact unweighted local mass matrices of every cell of ``geo`` (a
-    MeshGeometry), (ncells, nloc, nloc), with the arithmetic of
-    ``local_mass``."""
+    MeshGeometry), (ncells, nloc, nloc)."""
     n = geo.vertices.shape[2]
     vol = geo.volume
     if k == 0:
@@ -397,18 +308,15 @@ def mass_matrices(geo, k):
             - C[:, J, P] * gg[:, I, Q]
             + C[:, J, Q] * gg[:, I, P]
         )
-    # facet space; each product below is taken as in _local_mass_array so
-    # that contributions cancelling there cancel here too
+    # facet space, from the moments s2 = int x.x dx and m1 = int x dx
     signs = geo.facet_signs
     verts = geo.vertices
     vsum = verts.sum(axis=1)
     squares = (verts * verts).reshape(len(vol), -1).sum(axis=1)
     s2 = vol / ((n + 1) * (n + 2)) * (squares + np.vecdot(vsum, vsum))
     m1 = vol[:, None] * geo.barycenter
-    opp = [verts[:, v] for v in _opposite_vertices(n)]
-    # libm pow, as the scalar ``** 2`` of _local_mass_array: an array's
-    # ``** 2`` squares instead and can differ in the last bit
-    scale = np.array([math.pow(x, 2) for x in (n * vol).tolist()])
+    opp = [verts[:, v] for v in opposite_vertices(n)]
+    scale = (n * vol) ** 2
     M = np.empty((len(vol), n + 1, n + 1))
     for a in range(n + 1):
         for b in range(n + 1):
@@ -422,29 +330,22 @@ def mass_matrices(geo, k):
     return M
 
 
-def _local_stiffness_array(geom, k):
-    n = geom.vertices.shape[1]
-    if k == 0:
-        g = geom.lambda_grads
-        return geom.volume * (g @ g.T)
-    if k == n:
-        return np.zeros((1, 1))
-    if n == 3 and k == 1:
-        g = geom.lambda_grads
-        edges = local_subsimplices(3, 1)
-        curls = np.array([2.0 * np.cross(g[i], g[j]) for i, j in edges])
-        return geom.volume * (curls @ curls.T)
-    signs = facet_outward_signs(geom).astype(float)
-    return np.outer(signs, signs) / geom.volume
+def stiffness_matrices(geo, k):
+    """Local matrices of (d phi_S, d phi_S') of every cell of ``geo``,
+    (ncells, nloc, nloc); the proxies are constant per cell."""
+    d = basis_derivatives(geo, k)
+    if d.ndim == 2:
+        d = d[:, :, None]
+    return geo.volume[:, None, None] * (d @ d.transpose(0, 2, 1))
 
 
 def local_mass(mesh, cell_id, k):
     """Local mass matrix (exact, unweighted) of the degree-k space."""
-    geom = cell_geometry(mesh, cell_id)
-    return LocalFormMatrix(cell_id, k, "mass", _local_mass_array(geom, k))
+    matrix = mass_matrices(_geometry(mesh, [cell_id]), k)[0]
+    return LocalFormMatrix(cell_id, k, "mass", matrix)
 
 
 def local_stiffness(mesh, cell_id, k):
     """Local matrix of (d phi_S, d phi_S') over one cell."""
-    geom = cell_geometry(mesh, cell_id)
-    return LocalFormMatrix(cell_id, k, "stiffness", _local_stiffness_array(geom, k))
+    matrix = stiffness_matrices(_geometry(mesh, [cell_id]), k)[0]
+    return LocalFormMatrix(cell_id, k, "stiffness", matrix)

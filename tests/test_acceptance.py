@@ -318,12 +318,12 @@ def test_criterion_8_limit_uniformity_and_range_safety():
     grid3 = np.linspace(-10.0, 10.0, 11)
     worst = 0.0
     for s in grid1:
-        worst = max(worst, abs(bernoulli1(1e-8, s).value - bernoulli1(0.0, s).value))
+        worst = max(worst, abs(bernoulli1(1e-8, s) - bernoulli1(0.0, s)))
     for s in grid1:
         for t in grid1:
             worst = max(
                 worst,
-                abs(bernoulli2(1e-8, s, t).value - bernoulli2(0.0, s, t).value),
+                abs(bernoulli2(1e-8, s, t) - bernoulli2(0.0, s, t)),
             )
     for s in grid3:
         for t in grid3:
@@ -331,8 +331,8 @@ def test_criterion_8_limit_uniformity_and_range_safety():
                 worst = max(
                     worst,
                     abs(
-                        bernoulli3(1e-8, s, t, r).value
-                        - bernoulli3(0.0, s, t, r).value
+                        bernoulli3(1e-8, s, t, r)
+                        - bernoulli3(0.0, s, t, r)
                     ),
                 )
     limit_ok = worst <= 1e-6
@@ -344,7 +344,7 @@ def test_criterion_8_limit_uniformity_and_range_safety():
             (big,), (-big,), (big, -big), (-big, -2 * big),
             (big, 0.5 * big, -big), (-big, -2 * big, -3 * big),
         ]:
-            value = KERNELS[len(args)](eps, *args).value
+            value = KERNELS[len(args)](eps, *args)
             overflow_ok = overflow_ok and math.isfinite(value)
     report(
         "criterion 8 (upwind limit reached uniformly; no overflow at drift ratio 1e6)",

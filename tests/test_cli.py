@@ -101,11 +101,11 @@ def test_bernoulli_table_command(tmp_path):
     b1rows = [r for r in rows if r["kernel"] == "b1"]
     assert len(b1rows) == 6
     for row in b1rows:
-        expected = bernoulli1(float(row["eps"]), float(row["s"])).value
+        expected = bernoulli1(float(row["eps"]), float(row["s"]))
         assert float(row["value"]) == pytest.approx(expected, rel=1e-8, abs=1e-12)
     b2rows = [r for r in rows if r["kernel"] == "b2" and r["eps"] == "1"]
     for row in b2rows[:5]:
-        expected = bernoulli2(1.0, float(row["s"]), float(row["t"])).value
+        expected = bernoulli2(1.0, float(row["s"]), float(row["t"]))
         assert float(row["value"]) == pytest.approx(expected, rel=1e-8, abs=1e-12)
     # upwind rows are present
     assert any(r["eps"] == "0" for r in rows)

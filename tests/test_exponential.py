@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from mpmath import exp as mp_exp
-from mpmath import factorial, mpf, quad, workdps
+from mpmath import expm1, factorial, mpf, quad, workdps
 
 from safefem.exponential import (
     bernoulli1,
@@ -73,7 +73,11 @@ def mp_bernoulli(eps, args):
 
 
 def quad_bernoulli(eps, args):
-    """Adaptive-quadrature oracle from the defining integrals (moderate args)."""
+    """Adaptive-quadrature oracle from the defining integrals (moderate args).
+
+    The innermost integral of the 3-argument denominator is exact in mp
+    arithmetic; every other integral is an mpmath ``quad``.
+    """
     e = mpf(eps)
     scaled = [mpf(a) / e for a in args]
     with workdps(30):
@@ -92,14 +96,14 @@ def quad_bernoulli(eps, args):
             num = 2 * quad(
                 lambda x: quad(lambda y: mp_exp(s * x + t * y), [0, 1 - x]), [0, 1]
             )
+            # the innermost integral over z in [0, L] in closed form
+            def z_integral(x, y):
+                L = 1 - x - y
+                a = s * x + t * y
+                return mp_exp(a) * (expm1(r * L) / r if r != 0 else L)
+
             den = 6 * quad(
-                lambda x: quad(
-                    lambda y: quad(
-                        lambda z: mp_exp(s * x + t * y + r * z), [0, 1 - x - y]
-                    ),
-                    [0, 1 - x],
-                ),
-                [0, 1],
+                lambda x: quad(lambda y: z_integral(x, y), [0, 1 - x]), [0, 1]
             )
         return e * num / den
 
@@ -108,7 +112,7 @@ KERNELS = {1: bernoulli1, 2: bernoulli2, 3: bernoulli3}
 
 
 def kernel_value(eps, args):
-    return KERNELS[len(args)](eps, *args).value
+    return KERNELS[len(args)](eps, *args)
 
 
 def rel_to_oracle(value, oracle):
@@ -119,15 +123,15 @@ def rel_to_oracle(value, oracle):
 
 
 def test_frozen_reference_points():
-    assert bernoulli1(1.0, 1.0).value == pytest.approx(B1_AT_ONE, rel=1e-14)
-    assert bernoulli2(1.0, 2.0, 2.0).value == pytest.approx(B2_SYMMETRIC, rel=1e-14)
-    assert bernoulli3(0.5, 1.0, 1.0, 1.0).value == pytest.approx(
+    assert bernoulli1(1.0, 1.0) == pytest.approx(B1_AT_ONE, rel=1e-14)
+    assert bernoulli2(1.0, 2.0, 2.0) == pytest.approx(B2_SYMMETRIC, rel=1e-14)
+    assert bernoulli3(0.5, 1.0, 1.0, 1.0) == pytest.approx(
         B3_SYMMETRIC, rel=1e-14
     )
     # zero drift: both averages are 1, the kernel collapses to eps
-    assert bernoulli1(0.25, 0.0).value == pytest.approx(0.25, rel=1e-15)
-    assert bernoulli2(0.25, 0.0, 0.0).value == pytest.approx(0.25, rel=1e-15)
-    assert bernoulli3(0.25, 0.0, 0.0, 0.0).value == pytest.approx(0.25, rel=1e-15)
+    assert bernoulli1(0.25, 0.0) == pytest.approx(0.25, rel=1e-15)
+    assert bernoulli2(0.25, 0.0, 0.0) == pytest.approx(0.25, rel=1e-15)
+    assert bernoulli3(0.25, 0.0, 0.0, 0.0) == pytest.approx(0.25, rel=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -163,7 +167,7 @@ def test_oracles_agree_with_each_other():
 )
 def test_b1_against_oracle(log_eps, s):
     eps = 10.0**log_eps
-    assert rel_to_oracle(bernoulli1(eps, s).value, mp_bernoulli(eps, (s,))) < 1e-12
+    assert rel_to_oracle(bernoulli1(eps, s), mp_bernoulli(eps, (s,))) < 1e-12
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -174,7 +178,7 @@ def test_b1_against_oracle(log_eps, s):
 )
 def test_b2_against_oracle(log_eps, s, t):
     eps = 10.0**log_eps
-    assert rel_to_oracle(bernoulli2(eps, s, t).value, mp_bernoulli(eps, (s, t))) < 1e-12
+    assert rel_to_oracle(bernoulli2(eps, s, t), mp_bernoulli(eps, (s, t))) < 1e-12
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
@@ -186,7 +190,7 @@ def test_b2_against_oracle(log_eps, s, t):
 )
 def test_b3_against_oracle(log_eps, s, t, r):
     eps = 10.0**log_eps
-    value = bernoulli3(eps, s, t, r).value
+    value = bernoulli3(eps, s, t, r)
     assert rel_to_oracle(value, mp_bernoulli(eps, (s, t, r))) < 1e-12
 
 
@@ -224,7 +228,7 @@ def test_nonnegative_and_finite(log_eps, args):
 def test_b1_jump_identity(s, log_eps):
     # B1(s) - B1(-s) = -s for every eps, the flux asymmetry of the kernel
     eps = 10.0**log_eps
-    lhs = bernoulli1(eps, s).value - bernoulli1(eps, -s).value
+    lhs = bernoulli1(eps, s) - bernoulli1(eps, -s)
     assert lhs == pytest.approx(-s, rel=1e-12, abs=1e-12)
 
 
@@ -235,43 +239,43 @@ def test_b1_jump_identity(s, log_eps):
     st.floats(min_value=-20.0, max_value=20.0),
 )
 def test_degree_one_homogeneity(c, s, t):
-    a = bernoulli2(1.0, s, t).value
-    b = bernoulli2(c, c * s, c * t).value
+    a = bernoulli2(1.0, s, t)
+    b = bernoulli2(c, c * s, c * t)
     assert b == pytest.approx(c * a, rel=1e-12)
 
 
 def test_upwind_limits_b1():
-    assert bernoulli1(0.0, -3.0).value == 3.0
-    assert bernoulli1(0.0, 0.0).value == 0.0
-    assert bernoulli1(0.0, 4.0).value == 0.0
+    assert bernoulli1(0.0, -3.0) == 3.0
+    assert bernoulli1(0.0, 0.0) == 0.0
+    assert bernoulli1(0.0, 4.0) == 0.0
 
 
 def test_upwind_limits_b2():
-    assert bernoulli2(0.0, -1.0, -4.0).value == 2.0  # all nonpositive: -t/2
-    assert bernoulli2(0.0, 3.0, 1.0).value == 1.0  # s is the max: (s-t)/2
-    assert bernoulli2(0.0, 1.0, 3.0).value == 0.0  # t is the max
-    assert bernoulli2(0.0, 0.0, 0.0).value == 0.0
+    assert bernoulli2(0.0, -1.0, -4.0) == 2.0  # all nonpositive: -t/2
+    assert bernoulli2(0.0, 3.0, 1.0) == 1.0  # s is the max: (s-t)/2
+    assert bernoulli2(0.0, 1.0, 3.0) == 0.0  # t is the max
+    assert bernoulli2(0.0, 0.0, 0.0) == 0.0
 
 
 def test_upwind_limits_b3():
-    assert bernoulli3(0.0, -1.0, -2.0, -6.0).value == 2.0  # -r/3
-    assert bernoulli3(0.0, 6.0, 1.0, -3.0).value == 3.0  # (s-r)/3
-    assert bernoulli3(0.0, 1.0, 6.0, -3.0).value == 3.0  # (t-r)/3
-    assert bernoulli3(0.0, 1.0, 2.0, 6.0).value == 0.0  # r is the max
-    assert bernoulli3(0.0, 0.0, 0.0, 0.0).value == 0.0
+    assert bernoulli3(0.0, -1.0, -2.0, -6.0) == 2.0  # -r/3
+    assert bernoulli3(0.0, 6.0, 1.0, -3.0) == 3.0  # (s-r)/3
+    assert bernoulli3(0.0, 1.0, 6.0, -3.0) == 3.0  # (t-r)/3
+    assert bernoulli3(0.0, 1.0, 2.0, 6.0) == 0.0  # r is the max
+    assert bernoulli3(0.0, 0.0, 0.0, 0.0) == 0.0
 
 
 def test_small_eps_approaches_limit():
     grid = np.linspace(-10.0, 10.0, 9)
     for s in grid:
-        lim = bernoulli1(0.0, s).value
-        assert abs(bernoulli1(1e-8, s).value - lim) <= 1e-6
+        lim = bernoulli1(0.0, s)
+        assert abs(bernoulli1(1e-8, s) - lim) <= 1e-6
         for t in grid:
-            lim = bernoulli2(0.0, s, t).value
-            assert abs(bernoulli2(1e-8, s, t).value - lim) <= 1e-6
+            lim = bernoulli2(0.0, s, t)
+            assert abs(bernoulli2(1e-8, s, t) - lim) <= 1e-6
             for r in grid:
-                lim = bernoulli3(0.0, s, t, r).value
-                assert abs(bernoulli3(1e-8, s, t, r).value - lim) <= 1e-6
+                lim = bernoulli3(0.0, s, t, r)
+                assert abs(bernoulli3(1e-8, s, t, r) - lim) <= 1e-6
 
 
 def test_extreme_ratio_no_overflow():
@@ -336,7 +340,7 @@ def test_harmonic_average_links_to_b1():
     theta = np.array([2.0, 1.0])
     alpha_bar = 0.7
     tangent = verts[1] - verts[0]
-    expected = bernoulli1(alpha_bar, alpha_bar * (theta @ tangent)).value
+    expected = bernoulli1(alpha_bar, alpha_bar * (theta @ tangent))
     got = harmonic_average(verts, alpha_bar, theta) * math.exp(theta @ verts[0])
     assert got == pytest.approx(expected, rel=1e-13)
 

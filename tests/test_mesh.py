@@ -1,5 +1,6 @@
 """Tests for mesh construction, entity tables and cell geometry."""
 
+import itertools
 import math
 
 import numpy as np
@@ -47,6 +48,49 @@ def test_square_mesh_scaling(n):
     vols = [cell_geometry(mesh, c).volume for c in range(mesh.num_cells)]
     assert sum(vols) == pytest.approx(1.0, rel=1e-13)
     assert min(vols) == pytest.approx(max(vols), rel=1e-13)
+
+
+def _loop_cells(n, diagonal):
+    """Cells of the structured builders, square by square and cube by
+    cube, each row sorted as the builders store it; ``diagonal`` None
+    stands for the cube builder."""
+    cells = []
+    if diagonal is None:
+        axes = np.eye(3, dtype=np.int64)
+        for k in range(n):
+            for j in range(n):
+                for i in range(n):
+                    for perm in itertools.permutations(range(3)):
+                        path = [np.array([i, j, k])]
+                        for ax in perm:
+                            path.append(path[-1] + axes[ax])
+                        cells.append([p @ [1, n + 1, (n + 1) ** 2] for p in path])
+    else:
+        for j in range(n):
+            for i in range(n):
+                v00, v10 = i + (n + 1) * j, i + 1 + (n + 1) * j
+                v01, v11 = v00 + n + 1, v10 + n + 1
+                if diagonal == DIAG_LL_UR:
+                    cells += [[v00, v10, v11], [v00, v11, v01]]
+                else:
+                    cells += [[v00, v10, v01], [v10, v11, v01]]
+    return np.sort(np.array(cells), axis=1)
+
+
+@pytest.mark.parametrize("diagonal", [DIAG_LL_UR, DIAG_UL_LR, None])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_builders_match_loop_reference(n, diagonal):
+    if diagonal is None:
+        mesh = build_unit_cube_mesh(n)
+    else:
+        mesh = build_unit_square_mesh(n, diagonal=diagonal)
+    assert np.array_equal(mesh.cells, _loop_cells(n, diagonal))
+    # an entity lies in the boundary of the box exactly when all of its
+    # vertices share a coordinate equal to 0 or to 1
+    for k in range(mesh.dim + 1):
+        verts = mesh.vertices[mesh.simplices[k]]
+        on_plane = ((verts == 0.0).all(axis=1) | (verts == 1.0).all(axis=1)).any(axis=1)
+        assert np.array_equal(mesh.boundary[k], on_plane)
 
 
 def test_square_mesh_vertex_order():

@@ -39,7 +39,6 @@ def test_dof_map_shapes():
         dm = dof_map(mesh, k)
         assert dm.num_dofs == mesh.num_entities(k)
         assert dm.cell_dofs.shape == (mesh.num_cells, num_local_dofs(3, k))
-        assert (dm.cell_signs == 1).all()
         assert dm.boundary.shape == (dm.num_dofs,)
 
 
