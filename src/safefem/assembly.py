@@ -25,7 +25,7 @@ import scipy.sparse as sp
 
 from .exponential import (
     _averaged_coefficients,
-    _bernoulli_value,
+    _bernoulli,
     _eval_at,
     local_exp_operators,
 )
@@ -117,7 +117,7 @@ def local_safe_matrix(mesh, cell_id, k, coeffs):
     """
     geo = _geometry(mesh, [cell_id])
     bbar = np.asarray(coeffs.beta_bar, dtype=float)[None]
-    matrix = _safe_matrices(geo, k, [coeffs.alpha_bar], bbar)[0]
+    matrix = _safe_matrices(geo, k, np.array([coeffs.alpha_bar]), bbar)[0]
     return LocalFormMatrix(cell_id, k, "safe", matrix)
 
 
@@ -171,62 +171,65 @@ class SparseSystem:
     constrained: dict = field(default_factory=dict)
 
 
-def _kernel_values(eps, *args):
-    """``_bernoulli_value`` of each cell of a block, called on Python
-    floats: ``eps`` is a list, ``args`` are per-cell argument arrays."""
-    cols = zip(*(a.tolist() for a in args))
-    return np.array([_bernoulli_value(e, a) for e, a in zip(eps, cols)])
+def _directed_edge(p, q):
+    """Signed vector over the six local edges of a tetrahedron of the
+    directed edge p -> q."""
+    v = np.zeros(6)
+    v[local_subsimplices(3, 1).index((min(p, q), max(p, q)))] = 1.0 if p < q else -1.0
+    return v
 
 
 def _safe_matrices(geo, k, eps, bbar):
     """Local convective-diffusive matrices of every cell of ``geo``,
-    (ncells, nloc, nloc), for kernel parameters ``eps`` (a list) and
-    averaged drifts ``bbar`` (ncells, n)."""
+    (ncells, nloc, nloc), for kernel parameters ``eps`` (ncells,) and
+    averaged drifts ``bbar`` (ncells, n).
+
+    Every kernel argument is an entry of S[p, q] = bbar . (a_q - a_p); the
+    index tables (P, Q), one row per kernel, select them, and one kernel
+    call serves the whole block."""
     n = geo.vertices.shape[2]
-    ncells = len(geo.volume)
-    t = geo.tangents
     if k == 0:
-        omega = _edge_weights(geo, k)
-        A = np.zeros((ncells, n + 1, n + 1))
-        for e, (i, j) in enumerate(local_subsimplices(n, 1)):
-            s = np.vecdot(bbar, t[:, i, j])
-            bij = _kernel_values(eps, s)
-            bji = _kernel_values(eps, -s)
-            A[:, j, j] += omega[:, e] * bji
-            A[:, j, i] -= omega[:, e] * bij
-            A[:, i, j] -= omega[:, e] * bji
-            A[:, i, i] += omega[:, e] * bij
-        return A
-    if k == 1 and n == 3:
-        omega = _edge_weights(geo, k)
-        eidx = {e: m for m, e in enumerate(local_subsimplices(3, 1))}
-        A = np.zeros((ncells, 6, 6))
-        for _, _, e, i, j, kv, lv in _face_pairs():
-            # trial: boundary cycle i -> j -> kv of the first face, each
-            # directed edge weighted by B_2 at (drift along the edge, drift
-            # to the remaining face vertex); test: the cycle i -> j -> lv
-            trial = np.zeros((ncells, 6))
-            for p, q, o in ((i, j, kv), (j, kv, i), (kv, i, j)):
-                val = _kernel_values(
-                    eps, np.vecdot(bbar, t[:, p, q]), np.vecdot(bbar, t[:, p, o])
-                )
-                sgn = 1.0 if p < q else -1.0
-                trial[:, eidx[(min(p, q), max(p, q))]] += sgn * val
-            test = np.zeros(6)
-            for p, q in ((i, j), (j, lv), (lv, i)):
-                test[eidx[(min(p, q), max(p, q))]] += 1.0 if p < q else -1.0
-            A -= omega[:, e, None, None] * (test[None, :, None] * trial[:, None, :])
+        # B_1 along both directions of every local edge (i, j)
+        i, j = np.array(local_subsimplices(n, 1)).T
+        P, Q = np.r_[i, j][:, None], np.r_[j, i][:, None]
+    elif k == 1 and n == 3:
+        # trial: boundary cycle i -> j -> kv of the first face, each
+        # directed edge p -> q weighted by B_2 at (drift along the edge,
+        # drift to the remaining face vertex o); test: the cycle
+        # i -> j -> lv of the second face
+        pairs = _face_pairs()
+        steps = [((i, j, kv), (j, kv, i), (kv, i, j)) for *_, i, j, kv, _ in pairs]
+        P = np.array([(p, p) for cyc in steps for p, _, _ in cyc])
+        Q = np.array([(q, o) for cyc in steps for _, q, o in cyc])
+        shared = [e for _, _, e, *_ in pairs]
+        trial_edges = np.array([[_directed_edge(p, q) for p, q, _ in cyc] for cyc in steps])
+        test = np.array(
+            [_directed_edge(i, j) + _directed_edge(j, lv) + _directed_edge(lv, i)
+             for *_, i, j, _, lv in pairs]
+        )
+    elif k == n - 1:
+        # B_n of each facet (p, ...) at the drift to its other vertices q
+        # and to the opposite vertex
+        facets = np.array(local_subsimplices(n, n - 1))
+        P = np.repeat(facets[:, :1], n, axis=1)
+        Q = np.column_stack([facets[:, 1:], opposite_vertices(n)])
+    else:
+        raise ValueError(f"no convective-diffusive form for k={k} in dimension {n}")
+    S = np.vecdot(bbar[:, None, None], geo.tangents)
+    vals = _bernoulli(eps[:, None], S[:, P, Q])
+    if k == 0:
+        # column p gains omega_E B_1(S[p, q]) (e_p - e_q) for each neighbour q
+        W = np.zeros((len(vals), n + 1, n + 1))
+        W[:, P[:, 0], Q[:, 0]] = np.tile(_edge_weights(geo, k), 2) * vals
+        A = -W.transpose(0, 2, 1)
+        d = np.arange(n + 1)
+        A[:, d, d] = W.sum(axis=2)
         return A
     if k == n - 1:
         signs = geo.facet_signs.astype(float)
-        coef = np.empty((ncells, n + 1))
-        facets = local_subsimplices(n, n - 1)
-        for m, (fac, opp) in enumerate(zip(facets, opposite_vertices(n))):
-            p = fac[0]
-            args = [np.vecdot(bbar, t[:, p, q]) for q in fac[1:]]
-            coef[:, m] = _kernel_values(eps, *args, np.vecdot(bbar, t[:, p, opp]))
-        return signs[:, :, None] * (signs * coef)[:, None, :] / geo.volume[:, None, None]
-    raise ValueError(f"no convective-diffusive form for k={k} in dimension {n}")
+        return signs[:, :, None] * (signs * vals)[:, None, :] / geo.volume[:, None, None]
+    trial = np.einsum("cmt,mts->cms", vals.reshape(-1, len(pairs), 3), trial_edges)
+    return -(test.T @ (_edge_weights(geo, k)[:, shared, None] * trial))
 
 
 def _weighted_masses(geo, k, gamma, degree):
@@ -265,13 +268,10 @@ def assemble(mesh, k, alpha, beta, gamma=0.0, scheme="primal", quad_degree=4):
     for cells in cell_blocks(ncells, reference_simplex_rule(n, quad_degree)[1].size):
         block = geo[cells]
         if limit_mode:
-            eps = [0.0] * len(block.volume)
+            eps = np.zeros(len(block.volume))
             bbar = _eval_at(beta, block.barycenter)
         else:
-            alpha_bar, _, bbar = _averaged_coefficients(
-                block, alpha, beta, quad_degree
-            )
-            eps = alpha_bar.tolist()
+            eps, _, bbar = _averaged_coefficients(block, alpha, beta, quad_degree)
         A = _safe_matrices(block, k, eps, bbar)
         if with_mass:
             A = A + _weighted_masses(block, k, gamma, quad_degree)

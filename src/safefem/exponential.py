@@ -24,67 +24,51 @@ from .mesh import _geometry, cell_geometry, local_subsimplices
 from .quadrature import simplex_rules
 from .whitney import local_incidence
 
-# Beyond this spread the sorted recursion is well conditioned; below it the
-# symmetric series handles clustered and coincident points.
+# Windows of the divided-difference table whose spread is at most this
+# take the series, which handles clustered and coincident points; wider
+# windows take the recursion, which is well conditioned there.
 _SERIES_SPREAD = 4.0
+
+# Series terms: the points of a series window lie within 4 of their mean,
+# so after this many terms the tail is below 1e-18 of the sum.
+_SERIES_TERMS = 40
 
 _LIMIT_GUARD = 1e14
 
 
-def _dd_exp_series(ys):
-    """Divided difference of exp at clustered points, via the expansion
-    exp[y_0..y_m] = e^mu sum_k h_k(y - mu) / (k + m)! with complete
-    homogeneous symmetric polynomials h_k."""
-    m = len(ys) - 1
-    mu = math.fsum(ys) / (m + 1)
-    z = [y - mu for y in ys]
-    # row[j] holds h_k(z_0..z_j); the recurrence adds one variable at a time
-    row = [1.0] * (m + 1)
-    kfact = math.factorial(m)
-    total = 1.0 / kfact
-    small = 0
-    for k in range(1, 80):
-        new = [row[0] * z[0]]
-        for j in range(1, m + 1):
-            new.append(new[j - 1] + z[j] * row[j])
-        row = new
-        kfact *= k + m
-        term = row[m] / kfact
-        total += term
-        if abs(term) <= 1e-18 * abs(total):
-            small += 1
-            if small >= 2:
-                break
-        else:
-            small = 0
-    return math.exp(mu) * total
+def _dd_exp(w):
+    """Divided differences exp[w_0..w_m] of the rows of ``w`` (..., m+1),
+    returned as (mu, d) with exp[w] = e^mu d and d in (0, 1/m!].
 
-
-def _dd_exp(ys):
-    """Divided difference of exp at sorted points (expected <= 0)."""
-    m = len(ys) - 1
-    if m == 0:
-        return math.exp(ys[0])
-    if m == 1:
-        d = ys[1] - ys[0]
-        if d == 0.0:
-            return math.exp(ys[0])
-        if d <= 30.0:
-            return math.exp(ys[0]) * math.expm1(d) / d
-        return (math.exp(ys[1]) - math.exp(ys[0])) / d
-    spread = ys[-1] - ys[0]
-    if spread <= _SERIES_SPREAD:
-        return _dd_exp_series(ys)
-    return (_dd_exp(ys[1:]) - _dd_exp(ys[:-1])) / spread
-
-
-def _scaled_exp_average(exponents):
-    """Average of exp over a simplex with the given vertex exponents,
-    returned as (mu, rho) with average = exp(mu) * rho and rho in (0, 1]."""
-    m = len(exponents) - 1
-    mu = max(exponents)
-    shifted = sorted(w - mu for w in exponents)
-    return mu, math.factorial(m) * _dd_exp(shifted)
+    Each row is shifted by its largest entry mu and sorted, and one Newton
+    table is built along it.  A window whose spread is at most
+    ``_SERIES_SPREAD`` takes the series exp[z] = e^c sum_k h_k(z - c) /
+    (k + l)! about the mean c of its l + 1 points, with the complete
+    homogeneous symmetric polynomials h_k; the others take the recursion.
+    """
+    mu = np.max(w, axis=-1)
+    z = np.sort(w - mu[..., None], axis=-1)
+    col = np.exp(z)
+    for l in range(1, z.shape[-1]):
+        win = np.lib.stride_tricks.sliding_window_view(z, l + 1, axis=-1)
+        spread = win[..., -1] - win[..., 0]
+        near = spread <= _SERIES_SPREAD
+        diff = col[..., 1:] - col[..., :-1]
+        col = np.divide(diff, spread, out=np.empty_like(diff), where=~near)
+        c = np.mean(win[near], axis=-1)
+        # h[j] holds h_k(x_0..x_j); each term adds one variable at a time
+        x = (win[near] - c[:, None]).T
+        h = np.ones_like(x)
+        fact = math.factorial(l)
+        total = np.full(len(c), 1.0 / fact)
+        for k in range(1, _SERIES_TERMS):
+            h[0] *= x[0]
+            for j in range(1, l + 1):
+                h[j] = h[j - 1] + x[j] * h[j]
+            fact *= k + l
+            total += h[l] / fact
+        col[near] = np.exp(c) * total
+    return mu, col[..., 0]
 
 
 def exp_average(vertices, theta):
@@ -96,8 +80,8 @@ def exp_average(vertices, theta):
     """
     verts = np.asarray(vertices, dtype=float)
     w = verts @ np.asarray(theta, dtype=float)
-    mu, rho = _scaled_exp_average(w.tolist())
-    return math.exp(mu) * rho
+    mu, d = _dd_exp(w)
+    return math.exp(mu) * (math.factorial(len(w) - 1) * float(d))
 
 
 def harmonic_average(vertices, alpha_bar, theta):
@@ -107,62 +91,53 @@ def harmonic_average(vertices, alpha_bar, theta):
     return alpha_bar / exp_average(vertices, theta)
 
 
-def _bernoulli_limit(args):
-    """Upwind limits of the kernels at eps = 0."""
-    j = len(args)
-    m = max(args)
-    if j == 1:
-        (s,) = args
-        return -s + 0.0 if s <= 0 else 0.0
-    if j == 2:
-        s, t = args
-        if m <= 0:
-            return -t / 2.0 + 0.0
-        return (s - t) / 2.0 if s == m else 0.0
-    s, t, r = args
-    if m <= 0:
-        return -r / 3.0 + 0.0
-    if s == m:
-        return (s - r) / 3.0
-    if t == m:
-        return (t - r) / 3.0
-    return 0.0
+def _bernoulli(eps, args):
+    """The kernel B_j, j = ``args.shape[-1]``, of every row of ``args``
+    (..., j), with ``eps`` broadcast to ``args.shape[:-1]``.
 
-
-def _bernoulli_value(eps, args):
-    if eps < 0:
+    eps = 0, and argument-to-eps ratios past ``_LIMIT_GUARD``, give the
+    upwind limit (max(0, args) - last)/j: -last/j when every argument is
+    nonpositive, (max - last)/j when a leading argument attains the max,
+    else 0.  Raises ValueError on negative or NaN eps and on non-finite
+    arguments.
+    """
+    args = np.asarray(args, dtype=float)
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), args.shape[:-1])
+    if not np.all(eps >= 0):
         raise ValueError("eps must be nonnegative")
-    if not all(math.isfinite(a) for a in args):
-        raise ValueError(f"non-finite kernel arguments {args}")
-    if eps == 0.0:
-        return _bernoulli_limit(args)
-    ys = tuple(a / eps for a in args)
-    if not all(math.isfinite(y) for y in ys) or max(abs(y) for y in ys) > _LIMIT_GUARD:
-        # relative distance to the limit is below resolution here
-        return _bernoulli_limit(args)
-    num = (0.0,) + ys[:-1]
-    den = (0.0,) + ys
-    mu_n, rho_n = _scaled_exp_average(num)
-    mu_d, rho_d = _scaled_exp_average(den)
+    finite = np.all(np.isfinite(args), axis=-1)
+    if not np.all(finite):
+        raise ValueError(f"non-finite kernel arguments {args[~finite][0]}")
+    j = args.shape[-1]
+    out = np.array((np.max(args, axis=-1, initial=0.0) - args[..., -1]) / j)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ys = args / eps[..., None]
+    # past the guard the relative distance to the limit is below resolution
+    fit = np.all(np.abs(ys) <= _LIMIT_GUARD, axis=-1)
+    ys = ys[fit]
+    zero = np.zeros(ys.shape[:-1] + (1,))
+    mu_n, d_n = _dd_exp(np.concatenate([zero, ys[:, :-1]], axis=1))
+    mu_d, d_d = _dd_exp(np.concatenate([zero, ys], axis=1))
     # mu_n <= mu_d since the numerator runs over a sub-simplex, so the
     # exponential factor never overflows and vanishes exactly where the
-    # limit value is zero
-    return eps * math.exp(mu_n - mu_d) * rho_n / rho_d
+    # limit value is zero; the averages are (j-1)! d_n and j! d_d
+    out[fit] = eps[fit] * np.exp(mu_n - mu_d) * d_n / (j * d_d)
+    return out
 
 
 def bernoulli1(eps, s):
     """Edge kernel; eps = 0 selects the upwind limit."""
-    return _bernoulli_value(eps, (s,))
+    return float(_bernoulli(eps, (s,)))
 
 
 def bernoulli2(eps, s, t):
     """Face kernel, symmetric in nothing but stable everywhere."""
-    return _bernoulli_value(eps, (s, t))
+    return float(_bernoulli(eps, (s, t)))
 
 
 def bernoulli3(eps, s, t, r):
     """Cell kernel (3d), symmetric in its first two arguments."""
-    return _bernoulli_value(eps, (s, t, r))
+    return float(_bernoulli(eps, (s, t, r)))
 
 
 @dataclass(frozen=True)
@@ -259,29 +234,17 @@ def local_exp_operators(mesh, cell_id, k, theta_bar):
         raise ValueError(f"J^{k} needs k < dimension {n}")
     geom = cell_geometry(mesh, cell_id)
     w = geom.vertices @ np.asarray(theta_bar, dtype=float)
-    def scaled(subs):
-        out = []
-        for s in subs:
-            out.append(_scaled_exp_average([w[i] for i in s]))
-        return out
-    lo = scaled(local_subsimplices(n, k))
-    hi = scaled(local_subsimplices(n, k + 1))
+    mu_lo, d_lo = _dd_exp(w[np.array(local_subsimplices(n, k))])
+    mu_hi, d_hi = _dd_exp(w[np.array(local_subsimplices(n, k + 1))])
+    rho_lo = math.factorial(k) * d_lo
+    rho_hi = math.factorial(k + 1) * d_hi
     D = local_incidence(geom, k)
     J = np.zeros(D.shape)
-    for r in range(D.shape[0]):
-        mu_r, rho_r = hi[r]
-        for c in range(D.shape[1]):
-            if D[r, c]:
-                mu_c, rho_c = lo[c]
-                J[r, c] = D[r, c] * math.exp(mu_c - mu_r) * rho_c / rho_r
-    hk = np.array([_inverse_average(mu, rho) for mu, rho in lo])
-    hk1 = np.array([_inverse_average(mu, rho) for mu, rho in hi])
+    r, c = np.nonzero(D)
+    J[r, c] = D[r, c] * np.exp(mu_lo[c] - mu_hi[r]) * rho_lo[c] / rho_hi[r]
+    # 1 / (e^mu rho), saturating to inf when not representable
+    with np.errstate(over="ignore"):
+        hk = np.exp(-mu_lo) / rho_lo
+        hk1 = np.exp(-mu_hi) / rho_hi
     return LocalExpOperators(cell=cell_id, k=k, h_k=hk, h_k1=hk1, j_k=J)
 
-
-def _inverse_average(mu, rho):
-    """1 / (e^mu rho), saturating to inf when not representable."""
-    try:
-        return math.exp(-mu) / rho
-    except OverflowError:
-        return math.inf

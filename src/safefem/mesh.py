@@ -86,9 +86,14 @@ def _build_complex(dim, vertices, cells, diagonal=None):
     for k in range(1, dim):
         locs = local_subsimplices(dim, k)
         raw = np.concatenate([cells[:, loc] for loc in locs], axis=0)
-        uniq, inverse = np.unique(raw, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
-        simplices[k] = uniq
+        # sort the rows lexicographically; each run of equal rows is one
+        # entity, numbered in sorted order
+        order = np.lexsort(raw.T[::-1])
+        rows = raw[order]
+        start = np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)]
+        inverse = np.empty(len(raw), dtype=np.int64)
+        inverse[order] = np.cumsum(start) - 1
+        simplices[k] = rows[start]
         cell_entities[k] = inverse.reshape(len(locs), cells.shape[0]).T.copy()
     simplices[dim] = cells
     cell_entities[0] = cells.copy()

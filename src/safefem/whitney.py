@@ -60,64 +60,53 @@ def facet_outward_signs(geom):
 def incidence(mesh, k):
     """Signed incidence matrix D^k mapping degree-k DOFs to degree-(k+1)
     DOFs, as an integer CSR matrix.  D^{k+1} D^k = 0 holds exactly.
+
+    Each row is the local incidence of one cell that contains the
+    (k+1)-entity, scattered through the cell's entity tables.
     """
     n = mesh.dim
     if not 0 <= k < n:
         raise ValueError(f"no incidence D^{k} in dimension {n}")
-    rows, cols, vals = [], [], []
-    if k == 0:
-        edges = mesh.simplices[1]
-        ne = edges.shape[0]
-        rows = np.repeat(np.arange(ne), 2)
-        cols = edges[:, ::-1].ravel()  # (hi, lo) per row
-        vals = np.tile([1, -1], ne)
-        shape = (ne, mesh.num_entities(0))
-    elif n == 3 and k == 1:
-        faces = mesh.simplices[2]
-        edge_ids = {tuple(e): i for i, e in enumerate(mesh.simplices[1].tolist())}
-        rows, cols, vals = [], [], []
-        for fi, (a, b, c) in enumerate(faces.tolist()):
-            # boundary cycle a -> b -> c -> a, right-handed about the
-            # sorted-order face normal
-            for tail, head, sgn in ((a, b, 1), (b, c, 1), (a, c, -1)):
-                rows.append(fi)
-                cols.append(edge_ids[(tail, head)])
-                vals.append(sgn)
-        shape = (faces.shape[0], mesh.num_entities(1))
-    else:
-        # facets -> cells: outward flux signs
-        rows = np.repeat(np.arange(mesh.num_cells), n + 1)
-        cols = mesh.cell_entities[n - 1].ravel()
-        vals = mesh_geometry(mesh).facet_signs.ravel()
-        shape = (mesh.num_cells, mesh.num_entities(n - 1))
+    hi = mesh.cell_entities[k + 1]
+    # one owning cell per (k+1)-entity, with the entity's local slot there
+    owner = np.empty(mesh.num_entities(k + 1), dtype=np.int64)
+    owner[hi.ravel()] = np.arange(hi.size)
+    cells, slots = np.divmod(owner, hi.shape[1])
+    # only the top degree depends on the cell, through its facet signs
+    geo = mesh_geometry(mesh) if k == n - 1 else _geometry(mesh, [0])
+    D = local_incidence(geo, k)
+    D = np.broadcast_to(D, (mesh.num_cells,) + D.shape[1:])[cells, slots]
+    rows = np.repeat(np.arange(len(cells)), D.shape[1])
+    cols = mesh.cell_entities[k][cells].ravel()
+    vals = D.ravel()
+    keep = vals != 0
     return sp.csr_matrix(
-        (np.asarray(vals, dtype=np.int64), (np.asarray(rows), np.asarray(cols))),
-        shape=shape,
+        (vals[keep], (rows[keep], cols[keep])),
+        shape=(len(cells), mesh.num_entities(k)),
     )
 
 
 def local_incidence(geom, k):
-    """Local incidence D^k of one cell (rows: (k+1)-subsimplices, cols:
-    k-subsimplices), matching the global conventions."""
-    n = geom.vertices.shape[1]
+    """Local incidence D^k (rows: (k+1)-subsimplices, cols:
+    k-subsimplices), matching the global conventions: (nhi, nlo) for one
+    cell from ``cell_geometry``, (ncells, nhi, nlo) for a MeshGeometry.
+
+    Below the top degree, dropping the vertex at position p of a sorted
+    subsimplex gives the sign (-1)^p; the top degree takes the outward
+    facet signs.
+    """
+    n = geom.vertices.shape[-1]
     if not 0 <= k < n:
         raise ValueError(f"no incidence D^{k} in dimension {n}")
+    if k == n - 1:
+        return geom.facet_signs[..., None, :].astype(np.int64)
     lo = local_subsimplices(n, k)
     hi = local_subsimplices(n, k + 1)
-    col = {s: i for i, s in enumerate(lo)}
     D = np.zeros((len(hi), len(lo)), dtype=np.int64)
-    if k == 0:
-        for r, (i, j) in enumerate(hi):
-            D[r, j] = 1
-            D[r, i] = -1
-    elif n == 3 and k == 1:
-        for r, (a, b, c) in enumerate(hi):
-            D[r, col[(a, b)]] = 1
-            D[r, col[(b, c)]] = 1
-            D[r, col[(a, c)]] = -1
-    else:
-        D[0, :] = facet_outward_signs(geom)
-    return D
+    for r, s in enumerate(hi):
+        for p in range(k + 2):
+            D[r, lo.index(s[:p] + s[p + 1:])] = (-1) ** p
+    return np.broadcast_to(D, geom.facet_signs.shape[:-1] + D.shape)
 
 
 @dataclass

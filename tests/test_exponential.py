@@ -21,6 +21,9 @@ from mpmath import exp as mp_exp
 from mpmath import expm1, factorial, mpf, quad, workdps
 
 from safefem.exponential import (
+    _LIMIT_GUARD,
+    _SERIES_SPREAD,
+    _bernoulli,
     bernoulli1,
     bernoulli2,
     bernoulli3,
@@ -298,6 +301,78 @@ def test_invalid_inputs():
         bernoulli2(1.0, math.nan, 0.0)
     with pytest.raises(ValueError):
         bernoulli3(1.0, math.inf, 0.0, 0.0)
+
+
+# (eps, args, upwind limit written out by hand, or None where the
+# kernel is finite-eps and checked against the big-float oracle)
+MIXED_ROWS = {
+    1: [
+        (0.0, (-3.0,), 3.0),
+        (0.0, (0.0,), 0.0),
+        (1.0, (-2e15,), 2e15),  # past the limit guard
+        (1e-16, (5.0,), 0.0),  # past the limit guard
+        (1.0, (1.5,), None),  # series
+        (0.5, (-7.0,), None),  # recursion
+        (1.0, (0.0,), None),  # exact tie
+        (1e-3, (1.0,), None),  # exponent underflow
+    ],
+    2: [
+        (0.0, (-1.0, -4.0), 2.0),
+        (0.0, (3.0, 1.0), 1.0),
+        (0.0, (1.0, 3.0), 0.0),
+        (1e-15, (3.0, 1.0), 1.0),
+        (1e-15, (-1.0, -4.0), 2.0),
+        (1.0, (0.5, -1.0), None),
+        (0.2, (3.0, -2.0), None),
+        (0.7, (-1.0, 2.0), None),
+        (1.0, (2.0, 2.0), None),
+        (0.5, (0.0, 0.0), None),
+        (1e-3, (-1.0, 1.0), None),
+    ],
+    3: [
+        (0.0, (-1.0, -2.0, -6.0), 2.0),
+        (0.0, (6.0, 1.0, -3.0), 3.0),
+        (0.0, (1.0, 6.0, -3.0), 3.0),
+        (0.0, (1.0, 2.0, 6.0), 0.0),
+        (1e-15, (-1.0, -2.0, -6.0), 2.0),
+        (1e-15, (1.0, 6.0, -3.0), 3.0),
+        (1.0, (0.5, 1.0, -1.0), None),
+        (0.3, (-2.0, 3.0, -4.0), None),
+        (0.4, (1.0, -0.2, 0.3), None),
+        (1.0, (1.0, 1.0, 1.0), None),
+        (1.0, (2.5, 2.5 + 1e-9, 2.5 - 2e-9), None),
+        (1e-3, (-1.0, 0.0, 1.0), None),
+    ],
+}
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_batched_kernel_mixed_rows(j):
+    rows = MIXED_ROWS[j]
+    eps = np.array([r[0] for r in rows])
+    args = np.array([r[1] for r in rows])
+    # the batch covers both table branches and the limit guard
+    spreads = [
+        max(0.0, *a) / e - min(0.0, *a) / e for e, a, lim in rows if lim is None
+    ]
+    assert min(spreads) <= _SERIES_SPREAD < max(spreads)
+    assert any(e > 0 and max(map(abs, a)) / e > _LIMIT_GUARD for e, a, _ in rows)
+    values = _bernoulli(eps, args)
+    assert values.shape == (len(rows),)
+    for value, (e, a, lim) in zip(values, rows):
+        if lim is None:
+            assert rel_to_oracle(value, mp_bernoulli(e, a)) < 1e-12
+        else:
+            assert value == lim
+    for bad in (-1e-300, math.nan):
+        bad_eps = eps.copy()
+        bad_eps[len(rows) // 2] = bad
+        with pytest.raises(ValueError):
+            _bernoulli(bad_eps, args)
+    bad_args = args.copy()
+    bad_args[-1, 0] = math.nan
+    with pytest.raises(ValueError):
+        _bernoulli(eps, bad_args)
 
 
 def test_exp_average_trivial_and_edge():

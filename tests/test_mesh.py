@@ -93,6 +93,23 @@ def test_builders_match_loop_reference(n, diagonal):
         assert np.array_equal(mesh.boundary[k], on_plane)
 
 
+@pytest.mark.parametrize("diagonal", [DIAG_LL_UR, DIAG_UL_LR, None])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_entity_tables_match_unique_reference(n, diagonal):
+    # each entity table is the sorted set of the cells' local
+    # subsimplices, and the cell-to-entity map is its inverse
+    if diagonal is None:
+        mesh = build_unit_cube_mesh(n)
+    else:
+        mesh = build_unit_square_mesh(n, diagonal=diagonal)
+    for k in range(1, mesh.dim):
+        locs = local_subsimplices(mesh.dim, k)
+        raw = np.concatenate([mesh.cells[:, loc] for loc in locs])
+        uniq, inverse = np.unique(raw, axis=0, return_inverse=True)
+        assert np.array_equal(mesh.simplices[k], uniq)
+        assert np.array_equal(mesh.cell_entities[k], inverse.reshape(len(locs), -1).T)
+
+
 def test_square_mesh_vertex_order():
     # vertex ids run x-fastest in lexicographic order
     mesh = build_unit_square_mesh(2)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from safefem.mesh import (
+    DIAG_LL_UR,
+    DIAG_UL_LR,
     build_unit_cube_mesh,
     build_unit_square_mesh,
     cell_geometry,
@@ -118,6 +120,40 @@ def test_local_incidence_matches_global():
             rows = mesh.cell_entities[k + 1][cid]
             cols = mesh.cell_entities[k][cid]
             np.testing.assert_array_equal(dloc, dglob[np.ix_(rows, cols)])
+
+
+def _loop_incidence(mesh, k):
+    """D^k entry by entry: head minus tail on each edge, the boundary
+    cycle a -> b -> c of each sorted face, and the outward sign of each
+    facet of a cell."""
+    n = mesh.dim
+    D = np.zeros((mesh.num_entities(k + 1), mesh.num_entities(k)), dtype=np.int64)
+    if k == n - 1:
+        for c in range(mesh.num_cells):
+            D[c, mesh.cell_entities[k][c]] = facet_outward_signs(cell_geometry(mesh, c))
+        return D
+    ids = {tuple(s): i for i, s in enumerate(mesh.simplices[k].tolist())}
+    for r, s in enumerate(mesh.simplices[k + 1].tolist()):
+        if k == 0:
+            D[r, s[0]], D[r, s[1]] = -1, 1
+        else:
+            a, b, c = s
+            D[r, ids[(a, b)]], D[r, ids[(b, c)]], D[r, ids[(a, c)]] = 1, 1, -1
+    return D
+
+
+@pytest.mark.parametrize("diagonal", [DIAG_LL_UR, DIAG_UL_LR, None])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_incidence_matches_loop_reference(n, diagonal):
+    if diagonal is None:
+        mesh = build_unit_cube_mesh(n)
+    else:
+        mesh = build_unit_square_mesh(n, diagonal=diagonal)
+    for k in range(mesh.dim):
+        d = incidence(mesh, k)
+        assert d.dtype == np.int64
+        assert d.nnz == (k + 2) * mesh.num_entities(k + 1)
+        assert np.array_equal(d.toarray(), _loop_incidence(mesh, k))
 
 
 def poly_fields_2d():
