@@ -36,7 +36,12 @@ from .mesh import (
     mesh_geometry,
     opposite_vertices,
 )
-from .quadrature import reference_simplex_rule, simplex_measures, simplex_rules
+from .quadrature import (
+    reference_barycentric,
+    reference_simplex_rule,
+    simplex_measures,
+    simplex_rules,
+)
 from .whitney import (
     DofMap,
     LocalFormMatrix,
@@ -93,6 +98,9 @@ def _face_pairs():
     return pairs
 
 
+_FACE_PAIRS = _face_pairs()
+
+
 def graph_weights(mesh, cell_id, k):
     """Graph-Laplacian weights of one cell for degree k."""
     n = mesh.dim
@@ -102,7 +110,7 @@ def graph_weights(mesh, cell_id, k):
     if k == 1 and n == 3:
         omega = _edge_weights(geo, k)[0]
         W = np.zeros((4, 4))
-        for a, b, e, *_ in _face_pairs():
+        for a, b, e, *_ in _FACE_PAIRS:
             W[a, b] = omega[e]
         return GraphWeights(cell_id, k, face_pair=W)
     if k == n - 1:
@@ -171,12 +179,57 @@ class SparseSystem:
     constrained: dict = field(default_factory=dict)
 
 
-def _directed_edge(p, q):
-    """Signed vector over the six local edges of a tetrahedron of the
-    directed edge p -> q."""
-    v = np.zeros(6)
-    v[local_subsimplices(3, 1).index((min(p, q), max(p, q)))] = 1.0 if p < q else -1.0
-    return v
+def _curl_tables():
+    """Constant tables of the 3d edge scheme.
+
+    For each ordered face pair (a, b) with shared edge (i, j), the trial
+    runs the boundary cycle i -> j -> kv of face a, each directed edge
+    p -> q weighted by B_2 at (drift along the edge, drift to the
+    remaining face vertex o); the test runs the cycle i -> j -> lv of
+    face b.  Of these 36 kernels only 24 have distinct arguments.
+    Returns the distinct rows (P, Q), the row ``inverse`` of each of the
+    36 kernels, the shared edge of each, and the map ``T`` (36, 36) from
+    the weighted kernel values to the flattened local matrix.
+    """
+    edges = local_subsimplices(3, 1)
+
+    def directed(p, q):
+        v = np.zeros(6)
+        v[edges.index((min(p, q), max(p, q)))] = 1.0 if p < q else -1.0
+        return v
+
+    steps, shared, T = [], [], []
+    for _, _, e, i, j, kv, lv in _FACE_PAIRS:
+        test = directed(i, j) + directed(j, lv) + directed(lv, i)
+        for p, q, o in ((i, j, kv), (j, kv, i), (kv, i, j)):
+            steps.append((p, q, o))
+            shared.append(e)
+            T.append(-np.outer(test, directed(p, q)).ravel())
+    args, inverse = np.unique(np.array(steps), axis=0, return_inverse=True)
+    return args[:, [0, 0]], args[:, 1:], inverse.ravel(), np.array(shared), np.array(T)
+
+
+def _kernel_args(n, k):
+    """Index tables (P, Q), one row per kernel, selecting the arguments
+    S[P, Q] of the vertex (k = 0) or facet (k = n-1) form on an
+    n-simplex."""
+    if k == 0:
+        # B_1 along both directions of every local edge (i, j)
+        i, j = np.array(local_subsimplices(n, 1)).T
+        return np.r_[i, j][:, None], np.r_[j, i][:, None]
+    # B_n of each facet (p, ...) at the drift to its other vertices q and
+    # to the opposite vertex
+    facets = np.array(local_subsimplices(n, n - 1))
+    P = np.repeat(facets[:, :1], n, axis=1)
+    return P, np.column_stack([facets[:, 1:], opposite_vertices(n)])
+
+
+_CURL_P, _CURL_Q, _CURL_INVERSE, _CURL_SHARED, _CURL_MAP = _curl_tables()
+# (P, Q) of every convective-diffusive form, by (dimension, degree)
+_KERNEL_ARGS = {
+    **{(n, k): _kernel_args(n, k) for n in (2, 3) for k in (0, n - 1)},
+    (3, 1): (_CURL_P, _CURL_Q),
+}
 
 
 def _safe_matrices(geo, k, eps, bbar):
@@ -185,36 +238,12 @@ def _safe_matrices(geo, k, eps, bbar):
     averaged drifts ``bbar`` (ncells, n).
 
     Every kernel argument is an entry of S[p, q] = bbar . (a_q - a_p); the
-    index tables (P, Q), one row per kernel, select them, and one kernel
+    constant index tables (P, Q) select the distinct ones, and one kernel
     call serves the whole block."""
     n = geo.vertices.shape[2]
-    if k == 0:
-        # B_1 along both directions of every local edge (i, j)
-        i, j = np.array(local_subsimplices(n, 1)).T
-        P, Q = np.r_[i, j][:, None], np.r_[j, i][:, None]
-    elif k == 1 and n == 3:
-        # trial: boundary cycle i -> j -> kv of the first face, each
-        # directed edge p -> q weighted by B_2 at (drift along the edge,
-        # drift to the remaining face vertex o); test: the cycle
-        # i -> j -> lv of the second face
-        pairs = _face_pairs()
-        steps = [((i, j, kv), (j, kv, i), (kv, i, j)) for *_, i, j, kv, _ in pairs]
-        P = np.array([(p, p) for cyc in steps for p, _, _ in cyc])
-        Q = np.array([(q, o) for cyc in steps for _, q, o in cyc])
-        shared = [e for _, _, e, *_ in pairs]
-        trial_edges = np.array([[_directed_edge(p, q) for p, q, _ in cyc] for cyc in steps])
-        test = np.array(
-            [_directed_edge(i, j) + _directed_edge(j, lv) + _directed_edge(lv, i)
-             for *_, i, j, _, lv in pairs]
-        )
-    elif k == n - 1:
-        # B_n of each facet (p, ...) at the drift to its other vertices q
-        # and to the opposite vertex
-        facets = np.array(local_subsimplices(n, n - 1))
-        P = np.repeat(facets[:, :1], n, axis=1)
-        Q = np.column_stack([facets[:, 1:], opposite_vertices(n)])
-    else:
+    if (n, k) not in _KERNEL_ARGS:
         raise ValueError(f"no convective-diffusive form for k={k} in dimension {n}")
+    P, Q = _KERNEL_ARGS[n, k]
     S = np.vecdot(bbar[:, None, None], geo.tangents)
     vals = _bernoulli(eps[:, None], S[:, P, Q])
     if k == 0:
@@ -228,8 +257,8 @@ def _safe_matrices(geo, k, eps, bbar):
     if k == n - 1:
         signs = geo.facet_signs.astype(float)
         return signs[:, :, None] * (signs * vals)[:, None, :] / geo.volume[:, None, None]
-    trial = np.einsum("cmt,mts->cms", vals.reshape(-1, len(pairs), 3), trial_edges)
-    return -(test.T @ (_edge_weights(geo, k)[:, shared, None] * trial))
+    coef = _edge_weights(geo, k)[:, _CURL_SHARED] * vals[:, _CURL_INVERSE]
+    return (coef @ _CURL_MAP).reshape(-1, 6, 6)
 
 
 def _weighted_masses(geo, k, gamma, degree):
@@ -313,10 +342,16 @@ def assemble_load(mesh, k, f, degree=4, neumann=None, g=None):
     dm = dof_map(mesh, k)
     rhs = np.zeros(dm.num_dofs)
     geo = mesh_geometry(mesh)
-    for cells in cell_blocks(mesh.num_cells, reference_simplex_rule(n, degree)[1].size):
+    lam = reference_barycentric(n, degree)
+    for cells in cell_blocks(mesh.num_cells, len(lam)):
         block = geo[cells]
         pts, wts = simplex_rules(block.vertices, degree)
-        loc = _basis_integrals(_eval_at(f, pts), wts, basis_values(block, k, pts))
+        # the basis is affine on each cell: the barycentric moments of f,
+        # contracted with the basis values at the vertices
+        fw = _eval_at(f, pts).reshape(pts.shape[:2] + (-1,)) * wts[..., None]
+        vals = basis_values(block, k, block.vertices)
+        vals = vals.reshape(vals.shape[:3] + (-1,))
+        loc = np.einsum("cvd,cvad->ca", lam.T @ fw, vals)
         np.add.at(rhs, dm.cell_dofs[cells], loc)
     if neumann is not None:
         if g is None:

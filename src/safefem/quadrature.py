@@ -68,6 +68,16 @@ def reference_simplex_rule(dim, degree):
     return np.array(pts), np.array(wts)
 
 
+@lru_cache(maxsize=None)
+def reference_barycentric(dim, degree):
+    """Barycentric coordinates (npts, dim+1) of the points of
+    ``reference_simplex_rule(dim, degree)``: (1 - sum xi, xi_1, ..., xi_dim).
+    They are also the barycentric coordinates of the points that
+    ``simplex_rules`` maps into any physical simplex."""
+    pts, _ = reference_simplex_rule(dim, degree)
+    return np.column_stack([1.0 - pts.sum(axis=1), pts])
+
+
 def simplex_measures(vertices):
     """Measures of stacked simplices, ``vertices`` an (N, m+1, n) array."""
     verts = np.asarray(vertices, dtype=float)

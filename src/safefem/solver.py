@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 _DIRECT_LIMIT = 200_000

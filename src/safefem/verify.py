@@ -23,7 +23,7 @@ from .mesh import (
     save_vtk,
 )
 from .quadrature import reference_simplex_rule, simplex_rules
-from .solver import SolverConfig, solve
+from .solver import solve
 from .whitney import basis_derivatives, basis_values, canonical_interpolate, dof_map
 
 CASE_NAMES = ("grad2d", "grad3d", "div2d", "curl3d", "div2d-stability")
@@ -247,14 +247,14 @@ def error_norms(mesh, k, u_h, u_exact, du_exact=None, degree=4):
     for cells in cell_blocks(mesh.num_cells, reference_simplex_rule(n, degree)[1].size):
         block = geo[cells]
         pts, wts = simplex_rules(block.vertices, degree)
+        lam = basis_values(block, 0, pts, tol=1e-8)
         flat = pts.reshape(-1, n)
-        vals = basis_values(block, k, pts, tol=1e-8)
         coefs = u_h[dm.cell_dofs[cells]]
         ue = np.asarray(u_exact(flat), dtype=float).reshape(pts.shape[:2] + (-1,))
-        if vals.ndim == 3:
-            uh = vals @ coefs[:, :, None]
-        else:
-            uh = np.einsum("cqad,ca->cqd", vals, coefs)
+        # u_h is affine on each cell: interpolate its values at the vertices
+        vals = basis_values(block, k, block.vertices)
+        vals = vals.reshape(vals.shape[:3] + (-1,))
+        uh = lam @ np.einsum("cvad,ca->cvd", vals, coefs)
         acc_l2 += float(np.sum(np.vecdot(wts, np.sum((uh - ue) ** 2, axis=2))))
         if du_exact is not None:
             de = np.asarray(du_exact(flat), dtype=float).reshape(pts.shape[:2] + (-1,))

@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from safefem.assembly import assemble, local_safe_matrix, local_safe_oracle
 from safefem.exponential import (
@@ -26,8 +25,6 @@ from safefem.mesh import (
     cell_geometry,
     local_subsimplices,
 )
-from safefem.quadrature import simplex_rule
-from safefem.solver import SolverConfig
 from safefem.verify import make_case, run_convergence, solve_case, stability_metrics
 from safefem.whitney import (
     canonical_interpolate,

@@ -1,6 +1,8 @@
 """The whole-mesh routes of assemble, assemble_load and error_norms
 against per-cell references written out here: local_safe_matrix with
-cell_coefficients, local_mass, and simplex_rule plus eval_basis loops."""
+cell_coefficients, local_mass, and simplex_rule plus eval_basis loops.
+Loads and error norms interpolate the basis from its values at the cell
+vertices; that the basis is affine on each cell is checked here too."""
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from safefem.mesh import (
 )
 from safefem.quadrature import reference_simplex_rule, simplex_rule
 from safefem.verify import error_norms
-from safefem.whitney import dof_map, eval_basis, local_mass
+from safefem.whitney import basis_values, dof_map, eval_basis, local_mass
 
 CONVECTIVE_SPECIES = [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
 ALL_SPECIES = [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3)]
@@ -150,6 +152,18 @@ def test_load_and_error_norms_match_per_cell_route(dim, k):
     got = error_norms(mesh, k, u_h, f, df)
     want = per_cell_error_norms(mesh, k, u_h, f, df)
     assert_close(np.array([got.l2, got.d]), np.array(want))
+
+
+@pytest.mark.parametrize("dim,k", ALL_SPECIES)
+def test_basis_is_affine_on_each_cell(dim, k):
+    geo = mesh_geometry(jittered_mesh(dim, 200 + 10 * dim + k))
+    vals = basis_values(geo, k, geo.vertices)
+    # interpolating the vertex values with the barycentric coordinates of
+    # a point gives the value there
+    lam = np.random.default_rng(k).dirichlet(np.ones(dim + 1), (len(geo.volume), 5))
+    points = lam @ geo.vertices
+    spec = "cpv,cva->cpa" if vals.ndim == 3 else "cpv,cvad->cpad"
+    assert_close(np.einsum(spec, lam, vals), basis_values(geo, k, points))
 
 
 def degenerate_mesh(dim):

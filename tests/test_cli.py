@@ -5,7 +5,6 @@ import csv
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from safefem.cli import RunConfig, main

@@ -11,6 +11,7 @@ The production code never sees either route; it uses shifted stable
 recurrences in double precision.
 """
 
+import itertools
 import math
 
 import hypothesis.strategies as st
@@ -23,7 +24,9 @@ from mpmath import expm1, factorial, mpf, quad, workdps
 from safefem.exponential import (
     _LIMIT_GUARD,
     _SERIES_SPREAD,
+    _SERIES_TERMS,
     _bernoulli,
+    _dd_exp,
     bernoulli1,
     bernoulli2,
     bernoulli3,
@@ -36,7 +39,7 @@ from safefem.mesh import build_unit_square_mesh, cell_geometry
 from safefem.quadrature import simplex_rule
 from safefem.whitney import eval_basis, local_incidence
 
-from conftest import random_cell_mesh, random_simplex, single_cell_mesh
+from conftest import random_cell_mesh, random_simplex
 
 # numerically exact reference points, worked out by hand from the defining
 # integral ratios
@@ -65,6 +68,22 @@ def mp_simplex_exp_average(ys):
             return (dd(zs[1:]) - dd(zs[:-1])) / (zs[-1] - zs[0])
 
         return factorial(len(pts) - 1) * dd(pts)
+
+
+def mp_dd_exp(points, shift=0.0):
+    """e^-shift exp[z_0..z_m] in big-float arithmetic, the divided
+    difference from its definition: the recursion on sorted points, and
+    e^z / r! on r + 1 coincident ones.  For points that are equal or well
+    separated."""
+    zs = sorted(mpf(z) for z in points)
+
+    def dd(lo, hi):
+        if zs[lo] == zs[hi]:
+            return mp_exp(zs[lo]) / factorial(hi - lo)
+        return (dd(lo + 1, hi) - dd(lo, hi - 1)) / (zs[hi] - zs[lo])
+
+    with workdps(60):
+        return dd(0, len(zs) - 1) * mp_exp(-mpf(shift))
 
 
 def mp_bernoulli(eps, args):
@@ -328,6 +347,8 @@ MIXED_ROWS = {
         (1.0, (2.0, 2.0), None),
         (0.5, (0.0, 0.0), None),
         (1e-3, (-1.0, 1.0), None),
+        (0.1, (0.05, 0.9), None),  # table row (0, 0.5, 9), series below
+        (0.1, (-0.9, -0.85), None),  # table row (-9, -8.5, 0), series below
     ],
     3: [
         (0.0, (-1.0, -2.0, -6.0), 2.0),
@@ -342,6 +363,8 @@ MIXED_ROWS = {
         (1.0, (1.0, 1.0, 1.0), None),
         (1.0, (2.5, 2.5 + 1e-9, 2.5 - 2e-9), None),
         (1e-3, (-1.0, 0.0, 1.0), None),
+        (0.5, (0.15, 1.95, 4.5), None),  # table row (0, 0.3, 3.9, 9)
+        (2.0, (9.0, 9.2, 0.2), None),  # table row (0, 0.1, 4.5, 4.6)
     ],
 }
 
@@ -364,6 +387,9 @@ def test_batched_kernel_mixed_rows(j):
             assert rel_to_oracle(value, mp_bernoulli(e, a)) < 1e-12
         else:
             assert value == lim
+    # each row's value does not depend on the batch it is evaluated in
+    single = [_bernoulli(e, a) for e, a in zip(eps, args)]
+    assert np.array_equal(values, single)
     for bad in (-1e-300, math.nan):
         bad_eps = eps.copy()
         bad_eps[len(rows) // 2] = bad
@@ -373,6 +399,58 @@ def test_batched_kernel_mixed_rows(j):
     bad_args[-1, 0] = math.nan
     with pytest.raises(ValueError):
         _bernoulli(eps, bad_args)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_series_worst_case_windows(m):
+    # every point at spread/2 from the midpoint, as far from the centre
+    # as the series allows; just past _SERIES_SPREAD the row takes the table
+    rows = []
+    for signs in itertools.product((-1.0, 1.0), repeat=m + 1):
+        if len(set(signs)) == 2:
+            for scale in (1.0 - 1e-12, 1.0 + 1e-12):
+                for centre in (0.0, -3.7, 5.1, 40.0):
+                    half = 0.5 * _SERIES_SPREAD * scale
+                    rows.append([centre + s * half for s in signs])
+    mu, d = _dd_exp(np.array(rows))
+    for row, shift, value in zip(rows, mu, d):
+        assert rel_to_oracle(value, mp_dd_exp(row, shift)) <= 4e-16
+
+
+def test_series_terms_meet_tail_bound():
+    # the bound of exponential.py: after K terms of the series about the
+    # midpoint the relative tail is below e^2 (2^K/K!) (K+1)/(K-1); the
+    # worst windows above stay far inside it, so this pins K to the proof
+    def bound(K):
+        return math.e**2 * 2.0**K / math.factorial(K) * (K + 1) / (K - 1)
+
+    assert bound(_SERIES_TERMS) < 2.0**-56 <= bound(_SERIES_TERMS - 1)
+
+
+# rows wider than the series spread with a lower window that is not: the
+# table takes the recursion on top and the series on those windows
+TABLE_ROWS = [
+    (0.0, 0.5, 9.0),
+    (-9.0, -8.5, 0.0),
+    (0.0, 8.5, 9.0, 9.0),
+    (0.0, 0.3, 3.9, 9.0),
+    (0.0, 4.5, 4.6, 4.7),
+    (-5.0, -4.9, 0.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("row", TABLE_ROWS)
+def test_table_rows_with_series_windows(row):
+    # the top window is far, and some window of positive spread is near
+    assert row[-1] - row[0] > _SERIES_SPREAD
+    assert any(0 < b - a <= _SERIES_SPREAD for a, b in zip(row, row[1:]))
+    for order in (row, row[::-1]):
+        mu, d = _dd_exp(np.array(order))
+        assert rel_to_oracle(float(d), mp_dd_exp(row, mu)) <= 4e-16
+    for eps in (1.0, 0.25):
+        args = tuple(eps * (z - row[0]) for z in row[1:])
+        value = float(_bernoulli(eps, args))
+        assert rel_to_oracle(value, mp_bernoulli(eps, args)) < 1e-13
 
 
 def test_exp_average_trivial_and_edge():

@@ -1,0 +1,43 @@
+"""Every module-level import in the package and the tests is used.
+
+A name bound by an import at module level counts as used when it appears
+anywhere else in the module as a name (``np``, ``np.sum``, a decorator,
+a default value).  The package's ``__init__.py`` only re-exports, so it
+is not checked.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted(
+    p for p in (ROOT / "src" / "safefem").glob("*.py") if p.name != "__init__.py"
+) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(source):
+    """Names bound by module-level imports of ``source`` and never used."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                # ``import a.b`` binds ``a``
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def test_checker_finds_unused_imports():
+    source = "import os\nimport numpy as np\nfrom a.b import c, d as e\nnp.sum(e)\n"
+    assert unused_imports(source) == [(1, "os"), (3, "c")]
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_module_imports(path):
+    assert unused_imports(path.read_text()) == []

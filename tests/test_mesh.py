@@ -1,7 +1,6 @@
 """Tests for mesh construction, entity tables and cell geometry."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ import pytest
 from safefem.mesh import (
     DIAG_LL_UR,
     DIAG_UL_LR,
-    MeshComplex,
     _build_complex,
     build_unit_cube_mesh,
     build_unit_square_mesh,

@@ -25,7 +25,7 @@ from safefem.whitney import (
     num_local_dofs,
 )
 
-from conftest import random_cell_mesh, random_simplex, single_cell_mesh
+from conftest import random_cell_mesh, single_cell_mesh
 
 SPECIES = [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3)]
 
