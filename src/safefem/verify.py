@@ -1,17 +1,17 @@
 """Manufactured-solution cases, error norms, convergence and stability
 experiments.
 
-Right-hand sides of the builtin cases are derived symbolically from the
-exact solution at case-construction time and lambdified; an independent
-finite-difference application of the strong operator (``strong_residual``)
-is available to cross-check that derivation.
+The exact fields, drifts and loads of the builtin cases are closed forms
+in numpy.  The tests check them against a symbolic derivation of each
+load from its exact solution, and ``strong_residual`` applies the strong
+operator to the exact solution by finite differences as an independent
+cross-check.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy as sym
 
 from .assembly import apply_essential_bc, assemble, assemble_load
 from .mesh import (
@@ -53,37 +53,70 @@ class ManufacturedCase:
         return build_unit_cube_mesh(n)
 
 
-def _lambdify_scalar(expr, coords):
-    fn = sym.lambdify(coords, expr, "numpy")
-    def wrapped(P):
-        P = np.asarray(P, dtype=float)
-        out = fn(*[P[:, i] for i in range(len(coords))])
-        return np.broadcast_to(np.asarray(out, dtype=float), (P.shape[0],)).copy()
-    return wrapped
+def _rotation(P):
+    """The planar drift (-y, x); divergence free."""
+    return np.column_stack([-P[:, 1], P[:, 0]])
 
 
-def _lambdify_vector(exprs, coords):
-    fns = [sym.lambdify(coords, e, "numpy") for e in exprs]
-    def wrapped(P):
-        P = np.asarray(P, dtype=float)
-        args = [P[:, i] for i in range(len(coords))]
-        cols = [
-            np.broadcast_to(np.asarray(f(*args), dtype=float), (P.shape[0],))
-            for f in fns
-        ]
-        return np.column_stack(cols)
-    return wrapped
+def _cyclic(P):
+    """The 3d drift (y, z, x); divergence free."""
+    return P[:, [1, 2, 0]]
 
 
-def _sym_curl(u, coords):
-    x, y, z = coords
-    return sym.Matrix(
-        [
-            sym.diff(u[2], y) - sym.diff(u[1], z),
-            sym.diff(u[0], z) - sym.diff(u[2], x),
-            sym.diff(u[1], x) - sym.diff(u[0], y),
-        ]
-    )
+def _sines(P):
+    """u = prod_i sin(pi x_i), zero on the boundary of the unit square or cube."""
+    return math.prod(np.sin(np.pi * P).T)
+
+
+def _sines_grad(P):
+    s, grad = np.sin(np.pi * P), np.pi * np.cos(np.pi * P)
+    # column i of the k-th roll is sin(pi x_{i+k}), so the product over
+    # k = 1..dim-1 takes every factor but the i-th
+    for k in range(1, P.shape[1]):
+        grad *= np.roll(s, -k, axis=1)
+    return grad
+
+
+def _div2d_u(P):
+    x, y = P[:, 0], P[:, 1]
+    return np.column_stack([
+        np.exp(x - y) * x * y * (1 - x) * (1 - y),
+        np.sin(np.pi * x) * np.sin(np.pi * y),
+    ])
+
+
+def _div2d_div(P):
+    x, y = P[:, 0], P[:, 1]
+    return (np.exp(x - y) * y * (1 - y) * (1 - x - x * x)
+            + np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
+
+
+def _div2d_load(P, alpha, gamma):
+    """f = -grad(alpha div u + beta . u) + gamma u for the div2d field."""
+    x, y = P[:, 0], P[:, 1]
+    e, s, c = np.exp(x - y), np.sin(np.pi * P), np.cos(np.pi * P)
+    # u1 = e p q with p = x (1 - x), q = y (1 - y), (e^x p)' = e^x a and
+    # (e^-y q)' = e^-y b; u2 = sin(pi x) sin(pi y)
+    p, q = x * (1 - x), y * (1 - y)
+    a, b = 1 - x - x * x, 1 - 3 * y + y * y
+    u1, u2 = e * p * q, s[:, 0] * s[:, 1]
+    grad_div = np.column_stack([
+        -e * x * (3 + x) * q + np.pi**2 * c[:, 0] * c[:, 1],
+        e * a * b - np.pi**2 * u2,
+    ])
+    grad_bu = np.column_stack([
+        -y * e * a * q + u2 + np.pi * x * c[:, 0] * s[:, 1],
+        -u1 - y * e * p * b + np.pi * x * s[:, 0] * c[:, 1],
+    ])
+    return gamma * np.column_stack([u1, u2]) - alpha * grad_div - grad_bu
+
+
+def _curl3d_u(P):
+    return np.sin(P[:, [2, 0, 1]])
+
+
+def _curl3d_curl(P):
+    return np.cos(P[:, [1, 2, 0]])
 
 
 def make_case(name, alpha=1.0, gamma=1.0, diagonal=DIAG_LL_UR):
@@ -93,80 +126,46 @@ def make_case(name, alpha=1.0, gamma=1.0, diagonal=DIAG_LL_UR):
     unknowns, primal, the rotational-drift benchmark), curl3d (edge
     unknowns, dual scheme), div2d-stability (constant load, no exact
     solution, for vanishing-diffusion sweeps).
+
+    ``beta``, ``f``, ``u_exact`` and ``du_exact`` are numpy closed forms.
+    The tests check them against a symbolic derivation, and the load
+    against the strong operator with ``strong_residual``.
     """
     alpha = float(alpha)
     gamma = float(gamma)
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    if name == "grad2d":
-        x, y = coords = sym.symbols("x y")
-        u = sym.sin(sym.pi * x) * sym.sin(sym.pi * y)
-        beta = sym.Matrix([-y, x])
-        flux = alpha * sym.Matrix([sym.diff(u, x), sym.diff(u, y)]) + beta * u
-        f = -(sym.diff(flux[0], x) + sym.diff(flux[1], y)) + gamma * u
+    if name in ("grad2d", "grad3d"):
+        dim, beta = (2, _rotation) if name == "grad2d" else (3, _cyclic)
+
+        def f(P):
+            # -alpha lap u - beta . grad u + gamma u, as div beta = 0; u is
+            # a product of sines, so lap u = -dim pi^2 u
+            u = _sines(P)
+            return (alpha * dim * np.pi**2 + gamma) * u - np.vecdot(beta(P), _sines_grad(P))
+
         return ManufacturedCase(
-            name, 2, 0, "primal", "grad-primal", alpha, gamma,
-            beta=_lambdify_vector(list(beta), coords),
-            f=_lambdify_scalar(f, coords),
-            u_exact=_lambdify_scalar(u, coords),
-            du_exact=_lambdify_vector([sym.diff(u, x), sym.diff(u, y)], coords),
-            diagonal=diagonal,
-        )
-    if name == "grad3d":
-        x, y, z = coords = sym.symbols("x y z")
-        u = sym.sin(sym.pi * x) * sym.sin(sym.pi * y) * sym.sin(sym.pi * z)
-        beta = sym.Matrix([y, z, x])
-        grad = sym.Matrix([sym.diff(u, c) for c in coords])
-        flux = alpha * grad + beta * u
-        f = -sum(sym.diff(flux[i], coords[i]) for i in range(3)) + gamma * u
-        return ManufacturedCase(
-            name, 3, 0, "primal", "grad-primal", alpha, gamma,
-            beta=_lambdify_vector(list(beta), coords),
-            f=_lambdify_scalar(f, coords),
-            u_exact=_lambdify_scalar(u, coords),
-            du_exact=_lambdify_vector(list(grad), coords),
-            diagonal=diagonal,
+            name, dim, 0, "primal", "grad-primal", alpha, gamma, beta=beta, f=f,
+            u_exact=_sines, du_exact=_sines_grad, diagonal=diagonal,
         )
     if name == "div2d":
-        x, y = coords = sym.symbols("x y")
-        u = sym.Matrix(
-            [
-                sym.exp(x - y) * x * y * (1 - x) * (1 - y),
-                sym.sin(sym.pi * x) * sym.sin(sym.pi * y),
-            ]
-        )
-        beta = sym.Matrix([-y, x])
-        divu = sym.diff(u[0], x) + sym.diff(u[1], y)
-        p = alpha * divu + beta.dot(u)
-        f = -sym.Matrix([sym.diff(p, x), sym.diff(p, y)]) + gamma * u
         return ManufacturedCase(
-            name, 2, 1, "primal", "div-primal", alpha, gamma,
-            beta=_lambdify_vector(list(beta), coords),
-            f=_lambdify_vector(list(f), coords),
-            u_exact=_lambdify_vector(list(u), coords),
-            du_exact=_lambdify_scalar(divu, coords),
-            diagonal=diagonal,
+            name, 2, 1, "primal", "div-primal", alpha, gamma, beta=_rotation,
+            f=lambda P: _div2d_load(P, alpha, gamma),
+            u_exact=_div2d_u, du_exact=_div2d_div, diagonal=diagonal,
         )
     if name == "curl3d":
-        x, y, z = coords = sym.symbols("x y z")
-        u = sym.Matrix([sym.sin(z), sym.sin(x), sym.sin(y)])
-        beta = sym.Matrix([y, z, x])
-        w = _sym_curl(u, coords)
-        f = alpha * _sym_curl(w, coords) - beta.cross(w) + gamma * u
+        def f(P):
+            # alpha curl w - beta x w + gamma u with w = curl u; curl w = u
+            return (alpha + gamma) * _curl3d_u(P) - np.cross(_cyclic(P), _curl3d_curl(P))
+
         return ManufacturedCase(
-            name, 3, 1, "dual", "curl-dual", alpha, gamma,
-            beta=_lambdify_vector(list(beta), coords),
-            f=_lambdify_vector(list(f), coords),
-            u_exact=_lambdify_vector(list(u), coords),
-            du_exact=_lambdify_vector(list(w), coords),
-            diagonal=diagonal,
+            name, 3, 1, "dual", "curl-dual", alpha, gamma, beta=_cyclic, f=f,
+            u_exact=_curl3d_u, du_exact=_curl3d_curl, diagonal=diagonal,
         )
     if name == "div2d-stability":
-        x, y = coords = sym.symbols("x y")
-        beta = sym.Matrix([-y, x])
         return ManufacturedCase(
-            name, 2, 1, "primal", "div-primal", alpha, gamma,
-            beta=_lambdify_vector(list(beta), coords),
+            name, 2, 1, "primal", "div-primal", alpha, gamma, beta=_rotation,
             f=lambda P: np.ones((np.asarray(P).shape[0], 2)),
             diagonal=diagonal,
         )

@@ -1,9 +1,15 @@
 """Tests for the manufactured-solution harness: cases, strong residuals,
 error norms, convergence tables and stability metrics."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import sympy as sym
 
+import safefem
 from safefem.mesh import DIAG_UL_LR, build_unit_square_mesh
 from safefem.verify import (
     CASE_NAMES,
@@ -21,6 +27,139 @@ from safefem.whitney import canonical_interpolate
 
 def interior_points(rng, dim, count=10):
     return rng.uniform(0.15, 0.85, size=(count, dim))
+
+
+def _lambdify_scalar(expr, coords):
+    fn = sym.lambdify(coords, expr, "numpy")
+    def wrapped(P):
+        P = np.asarray(P, dtype=float)
+        out = fn(*[P[:, i] for i in range(len(coords))])
+        return np.broadcast_to(np.asarray(out, dtype=float), (P.shape[0],)).copy()
+    return wrapped
+
+
+def _lambdify_vector(exprs, coords):
+    fns = [sym.lambdify(coords, e, "numpy") for e in exprs]
+    def wrapped(P):
+        P = np.asarray(P, dtype=float)
+        args = [P[:, i] for i in range(len(coords))]
+        cols = [
+            np.broadcast_to(np.asarray(f(*args), dtype=float), (P.shape[0],))
+            for f in fns
+        ]
+        return np.column_stack(cols)
+    return wrapped
+
+
+def _sym_curl(u, coords):
+    x, y, z = coords
+    return sym.Matrix(
+        [
+            sym.diff(u[2], y) - sym.diff(u[1], z),
+            sym.diff(u[0], z) - sym.diff(u[2], x),
+            sym.diff(u[1], x) - sym.diff(u[0], y),
+        ]
+    )
+
+
+def symbolic_case(name, alpha, gamma):
+    """Fields (u_exact, du_exact, beta, f) of a builtin case, derived with
+    sympy from the exact solution and the strong operator and lambdified:
+    the oracle for the closed forms of ``make_case``."""
+    if name == "grad2d":
+        x, y = coords = sym.symbols("x y")
+        u = sym.sin(sym.pi * x) * sym.sin(sym.pi * y)
+        beta = sym.Matrix([-y, x])
+        flux = alpha * sym.Matrix([sym.diff(u, x), sym.diff(u, y)]) + beta * u
+        f = -(sym.diff(flux[0], x) + sym.diff(flux[1], y)) + gamma * u
+        return (
+            _lambdify_scalar(u, coords),
+            _lambdify_vector([sym.diff(u, x), sym.diff(u, y)], coords),
+            _lambdify_vector(list(beta), coords),
+            _lambdify_scalar(f, coords),
+        )
+    if name == "grad3d":
+        x, y, z = coords = sym.symbols("x y z")
+        u = sym.sin(sym.pi * x) * sym.sin(sym.pi * y) * sym.sin(sym.pi * z)
+        beta = sym.Matrix([y, z, x])
+        grad = sym.Matrix([sym.diff(u, c) for c in coords])
+        flux = alpha * grad + beta * u
+        f = -sum(sym.diff(flux[i], coords[i]) for i in range(3)) + gamma * u
+        return (
+            _lambdify_scalar(u, coords),
+            _lambdify_vector(list(grad), coords),
+            _lambdify_vector(list(beta), coords),
+            _lambdify_scalar(f, coords),
+        )
+    if name == "div2d":
+        x, y = coords = sym.symbols("x y")
+        u = sym.Matrix(
+            [
+                sym.exp(x - y) * x * y * (1 - x) * (1 - y),
+                sym.sin(sym.pi * x) * sym.sin(sym.pi * y),
+            ]
+        )
+        beta = sym.Matrix([-y, x])
+        divu = sym.diff(u[0], x) + sym.diff(u[1], y)
+        p = alpha * divu + beta.dot(u)
+        f = -sym.Matrix([sym.diff(p, x), sym.diff(p, y)]) + gamma * u
+        return (
+            _lambdify_vector(list(u), coords),
+            _lambdify_scalar(divu, coords),
+            _lambdify_vector(list(beta), coords),
+            _lambdify_vector(list(f), coords),
+        )
+    if name == "curl3d":
+        x, y, z = coords = sym.symbols("x y z")
+        u = sym.Matrix([sym.sin(z), sym.sin(x), sym.sin(y)])
+        beta = sym.Matrix([y, z, x])
+        w = _sym_curl(u, coords)
+        f = alpha * _sym_curl(w, coords) - beta.cross(w) + gamma * u
+        return (
+            _lambdify_vector(list(u), coords),
+            _lambdify_vector(list(w), coords),
+            _lambdify_vector(list(beta), coords),
+            _lambdify_vector(list(f), coords),
+        )
+    if name == "div2d-stability":
+        x, y = coords = sym.symbols("x y")
+        beta = sym.Matrix([-y, x])
+        return None, None, _lambdify_vector(list(beta), coords), None
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize("alpha,gamma", [(1.0, 1.0), (0.01, 1.0), (0.8, 1.5), (0.0, 2.0)])
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_closed_forms_match_symbolic_derivation(name, alpha, gamma):
+    case = make_case(name, alpha=alpha, gamma=gamma)
+    oracle = symbolic_case(name, alpha, gamma)
+    pts = np.random.default_rng(7).uniform(0.0, 1.0, size=(1000, case.dim))
+    fields = (case.u_exact, case.du_exact, case.beta, case.f)
+    for label, got, want in zip(("u_exact", "du_exact", "beta", "f"), fields, oracle):
+        if want is None:
+            continue
+        a, b = got(pts), want(pts)
+        assert a.shape == b.shape, label
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), label
+
+
+def test_make_case_does_not_import_sympy():
+    # the closed forms need numpy only; sympy (and mpmath under it) stay
+    # off the import path of the package and the command line
+    code = (
+        "import sys\n"
+        "import safefem, safefem.cli\n"
+        "from safefem.verify import CASE_NAMES, make_case\n"
+        "for name in CASE_NAMES:\n"
+        "    make_case(name)\n"
+        "print(sorted(m for m in ('sympy', 'mpmath') if m in sys.modules))\n"
+    )
+    src_dir = os.path.dirname(os.path.dirname(safefem.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src_dir), timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_case_names_construct():
