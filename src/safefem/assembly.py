@@ -284,6 +284,12 @@ def assemble(mesh, k, alpha, beta, gamma=0.0, scheme="primal", quad_degree=4):
 
     Returns a SparseSystem with a zero right-hand side.
     """
+    geo = mesh_geometry(mesh)
+    return _assemble(mesh, geo, k, alpha, beta, gamma, scheme, quad_degree)
+
+
+def _assemble(mesh, geo, k, alpha, beta, gamma=0.0, scheme="primal", quad_degree=4):
+    """``assemble`` on the MeshGeometry ``geo`` of the mesh."""
     if scheme not in ("primal", "dual"):
         raise ValueError(f"unknown scheme {scheme!r}")
     n = mesh.dim
@@ -291,7 +297,6 @@ def assemble(mesh, k, alpha, beta, gamma=0.0, scheme="primal", quad_degree=4):
     limit_mode = not callable(alpha) and float(np.asarray(alpha)) == 0.0
     nloc = dm.cell_dofs.shape[1]
     ncells = mesh.num_cells
-    geo = mesh_geometry(mesh)
     blocks = np.empty((ncells, nloc, nloc))
     with_mass = callable(gamma) or float(np.asarray(gamma)) != 0.0
     for cells in cell_blocks(ncells, reference_simplex_rule(n, quad_degree)[1].size):
@@ -338,10 +343,14 @@ def assemble_load(mesh, k, f, degree=4, neumann=None, g=None):
     component, for the 3d edge space a vector integrated against the
     basis on the facet.
     """
+    return _assemble_load(mesh, mesh_geometry(mesh), k, f, degree, neumann, g)
+
+
+def _assemble_load(mesh, geo, k, f, degree=4, neumann=None, g=None):
+    """``assemble_load`` on the MeshGeometry ``geo`` of the mesh."""
     n = mesh.dim
     dm = dof_map(mesh, k)
     rhs = np.zeros(dm.num_dofs)
-    geo = mesh_geometry(mesh)
     lam = reference_barycentric(n, degree)
     for cells in cell_blocks(mesh.num_cells, len(lam)):
         block = geo[cells]

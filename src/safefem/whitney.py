@@ -31,12 +31,14 @@ def num_local_dofs(n, k):
 
 @dataclass(frozen=True)
 class DofMap:
-    """Cell-to-global DOF connectivity for the degree-k space."""
+    """Cell-to-global DOF connectivity for the degree-k space, with the
+    barycentre of each DOF's entity in ``points``."""
 
     k: int
     num_dofs: int
     cell_dofs: np.ndarray
     boundary: np.ndarray
+    points: np.ndarray
 
 
 def dof_map(mesh, k):
@@ -48,6 +50,7 @@ def dof_map(mesh, k):
         num_dofs=mesh.num_entities(k),
         cell_dofs=mesh.cell_entities[k],
         boundary=mesh.boundary[k].copy(),
+        points=mesh.vertices[mesh.simplices[k]].mean(axis=1),
     )
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from safefem.mesh import _build_complex
+from safefem.mesh import _build_complex, build_unit_cube_mesh, build_unit_square_mesh
 from safefem.quadrature import simplex_measure
 
 
@@ -30,3 +30,17 @@ def single_cell_mesh(vertices):
 
 def random_cell_mesh(rng, dim, scale=1.0):
     return single_cell_mesh(random_simplex(rng, dim, scale))
+
+
+def jittered_mesh(dim, seed, n=None, share=0.2):
+    """Structured mesh with interior vertices moved by up to ``share`` h,
+    so no cell is a right simplex.  By default n = 6 in 2d and n = 4 in
+    3d; the cube mesh (n = 4, 384 cells at 64 quadrature points) spans
+    several cell blocks."""
+    if n is None:
+        n = 6 if dim == 2 else 4
+    mesh = build_unit_square_mesh(n) if dim == 2 else build_unit_cube_mesh(n)
+    rng = np.random.default_rng(seed)
+    shift = rng.uniform(-share / n, share / n, size=mesh.vertices.shape)
+    mesh.vertices = mesh.vertices + shift * (~mesh.boundary[0])[:, None]
+    return mesh

@@ -7,6 +7,7 @@ vertices; that the basis is affine on each cell is checked here too."""
 import numpy as np
 import pytest
 
+from conftest import jittered_mesh
 from safefem.assembly import assemble, assemble_load, local_safe_matrix
 from safefem.exponential import CellCoefficients, cell_coefficients
 from safefem.mesh import (
@@ -23,18 +24,6 @@ from safefem.whitney import basis_values, dof_map, eval_basis, local_mass
 CONVECTIVE_SPECIES = [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
 ALL_SPECIES = [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3)]
 REL_TOL = 1e-13
-
-
-def jittered_mesh(dim, seed):
-    """Structured mesh with interior vertices moved by up to 0.2 h, so no
-    cell is a right simplex.  The cube mesh (n = 4, 384 cells at 64
-    quadrature points) spans several cell blocks."""
-    n = 6 if dim == 2 else 4
-    mesh = build_unit_square_mesh(n) if dim == 2 else build_unit_cube_mesh(n)
-    rng = np.random.default_rng(seed)
-    shift = rng.uniform(-0.2 / n, 0.2 / n, size=mesh.vertices.shape)
-    mesh.vertices = mesh.vertices + shift * (~mesh.boundary[0])[:, None]
-    return mesh
 
 
 def beta_field(dim):

@@ -153,6 +153,13 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_exit_code_direct_residual_guard(tmp_path, capsys):
+    rc = main(["solve", "--case", "div2d", "--n", "4", "--method", "direct",
+               "--tol", "1e-30", "--outdir", str(tmp_path)])
+    assert rc == 3
+    assert "residual" in capsys.readouterr().err
+
+
 def test_console_script_entry_point(tmp_path):
     # installed entry point runs end to end in a fresh interpreter
     proc = subprocess.run(
