@@ -12,10 +12,11 @@ kernels evaluated at drift components along vertex offsets:
   with the cell weight ``omega_T = 1/|T|``.
 
 With vanishing drift every matrix degenerates to ``alpha_bar`` times the
-Whitney stiffness matrix; with ``alpha_bar = 0`` the kernels switch to
-their upwind limits.  ``local_safe_oracle`` provides an independent
-evaluation through the conjugated difference operators and the averaging
-maps; both routes agree to rounding.
+Whitney stiffness matrix.  The diffusion may vanish on any set of cells:
+there ``alpha_bar = 0`` and the same kernels take their upwind limits.
+``local_safe_oracle`` provides an independent evaluation through the
+conjugated difference operators and the averaging maps; both routes
+agree to rounding.
 """
 
 from dataclasses import dataclass, field
@@ -121,7 +122,7 @@ def graph_weights(mesh, cell_id, k):
 def local_safe_matrix(mesh, cell_id, k, coeffs):
     """Local convective-diffusive matrix via Bernoulli kernels.
 
-    ``coeffs.alpha_bar = 0`` selects the upwind limit branch.
+    ``coeffs.alpha_bar = 0`` gives the upwind limits of the kernels.
     """
     geo = _geometry(mesh, [cell_id])
     bbar = np.asarray(coeffs.beta_bar, dtype=float)[None]
@@ -265,9 +266,16 @@ def _weighted_masses(geo, k, gamma, degree):
     """Local mass matrices of a block weighted by the reaction
     coefficient."""
     if not callable(gamma):
-        return float(gamma) * mass_matrices(geo, k)
+        gamma = float(gamma)
+        if not np.isfinite(gamma):
+            raise ValueError(f"gamma is not finite on cell {geo.cell_ids[0]}")
+        return gamma * mass_matrices(geo, k)
     pts, wts = simplex_rules(geo.vertices, degree)
-    gvals = _eval_at(gamma, pts) * wts
+    gvals = _eval_at(gamma, pts)
+    bad = np.nonzero(~np.all(np.isfinite(gvals), axis=1))[0]
+    if bad.size:
+        raise ValueError(f"gamma is not finite on cell {geo.cell_ids[bad[0]]}")
+    gvals = gvals * wts
     vals = basis_values(geo, k, pts)
     if vals.ndim == 3:
         return np.einsum("cq,cqa,cqb->cab", gvals, vals, vals)
@@ -277,10 +285,10 @@ def _weighted_masses(geo, k, gamma, degree):
 def assemble(mesh, k, alpha, beta, gamma=0.0, scheme="primal", quad_degree=4):
     """Assemble the global convective-diffusive(-reactive) matrix.
 
-    ``alpha`` is a positive constant or positive vectorized callable; the
-    literal constant 0 selects the upwind limit scheme (then the drift is
-    averaged as ``beta(x_c)`` per cell).  The dual scheme is the
-    transpose of the primal matrix.
+    ``alpha`` is a nonnegative constant or vectorized callable.  Cells
+    where it vanishes at the barycenter take the upwind limits of the
+    kernels at the drift ``beta(x_c)``.  ``gamma`` must be finite.  The
+    dual scheme is the transpose of the primal matrix.
 
     Returns a SparseSystem with a zero right-hand side.
     """
@@ -294,18 +302,13 @@ def _assemble(mesh, geo, k, alpha, beta, gamma=0.0, scheme="primal", quad_degree
         raise ValueError(f"unknown scheme {scheme!r}")
     n = mesh.dim
     dm = dof_map(mesh, k)
-    limit_mode = not callable(alpha) and float(np.asarray(alpha)) == 0.0
     nloc = dm.cell_dofs.shape[1]
     ncells = mesh.num_cells
     blocks = np.empty((ncells, nloc, nloc))
     with_mass = callable(gamma) or float(np.asarray(gamma)) != 0.0
     for cells in cell_blocks(ncells, reference_simplex_rule(n, quad_degree)[1].size):
         block = geo[cells]
-        if limit_mode:
-            eps = np.zeros(len(block.volume))
-            bbar = _eval_at(beta, block.barycenter)
-        else:
-            eps, _, bbar = _averaged_coefficients(block, alpha, beta, quad_degree)
+        eps, bbar = _averaged_coefficients(block, alpha, beta, quad_degree)
         A = _safe_matrices(block, k, eps, bbar)
         if with_mass:
             A = A + _weighted_masses(block, k, gamma, quad_degree)

@@ -185,16 +185,14 @@ class CellCoefficients:
 
     ``alpha_bar`` is the quadrature mean of the diffusion over the cell,
     ``theta_bar = beta(x_c) / alpha(x_c)`` the fitted drift direction and
-    ``beta_bar = alpha_bar * theta_bar``.  ``theta_bar`` is None in the
-    vanishing-diffusion limit ``alpha_bar = 0`` (then ``beta_bar`` is the
-    barycentric drift itself); ``gamma`` is carried along for the
-    reaction term.
+    ``beta_bar = alpha_bar * theta_bar``.  A cell with ``alpha(x_c) = 0``
+    is in the vanishing-diffusion limit: ``alpha_bar = 0``, ``theta_bar``
+    is None and ``beta_bar`` is the barycentric drift itself.
     """
 
     alpha_bar: float
     theta_bar: np.ndarray | None
     beta_bar: np.ndarray
-    gamma: object = None
 
 
 def _eval_at(coeff, points):
@@ -210,43 +208,42 @@ def _eval_at(coeff, points):
 
 
 def _averaged_coefficients(geo, alpha, beta, degree):
-    """Averaged coefficients of every cell of ``geo`` (a MeshGeometry):
-    arrays ``alpha_bar``, ``theta_bar`` and ``beta_bar`` as described in
-    CellCoefficients.  Raises ValueError naming the first cell where
-    alpha is not positive at the barycenter or in quadrature mean."""
+    """Kernel parameters of every cell of ``geo`` (a MeshGeometry): the
+    arrays ``alpha_bar`` and ``beta_bar`` described in CellCoefficients.
+    Raises ValueError naming the first cell where alpha is negative or
+    not finite at the barycenter, or positive there with a mean that is
+    not positive and finite."""
     xc = geo.barycenter
     alpha_c = _eval_at(alpha, xc)
-    bad = np.nonzero(~(alpha_c > 0))[0]
-    if bad.size:
-        raise ValueError(f"alpha <= 0 at barycenter of cell {geo.cell_ids[bad[0]]}")
+    fitted = alpha_c > 0
+    alpha_bar = alpha_c
     if callable(alpha):
         pts, wts = simplex_rules(geo.vertices, degree)
         alpha_bar = np.vecdot(_eval_at(alpha, pts), wts) / geo.volume
-        bad = np.nonzero(~(alpha_bar > 0))[0]
-        if bad.size:
-            raise ValueError(
-                f"alpha has nonpositive mean on cell {geo.cell_ids[bad[0]]}"
-            )
-    else:
-        alpha_bar = alpha_c
-    theta_bar = _eval_at(beta, xc) / alpha_c[:, None]
-    return alpha_bar, theta_bar, alpha_bar[:, None] * theta_bar
+    alpha_bar = np.where(fitted, alpha_bar, 0.0)
+    ok = (alpha_c == 0) | ((alpha_bar > 0) & np.isfinite(alpha_bar) & np.isfinite(alpha_c))
+    bad = np.nonzero(~ok)[0]
+    if bad.size:
+        raise ValueError(
+            f"alpha is negative, not finite or of nonpositive mean on cell "
+            f"{geo.cell_ids[bad[0]]}"
+        )
+    # beta_bar = alpha_bar * theta_bar, and beta(x_c) itself where alpha vanishes
+    beta_c = _eval_at(beta, xc)
+    theta = np.divide(beta_c, alpha_c[:, None], out=np.array(beta_c), where=fitted[:, None])
+    return alpha_bar, np.where(fitted, alpha_bar, 1.0)[:, None] * theta
 
 
-def cell_coefficients(mesh, cell_id, alpha, beta, gamma=None, degree=4):
+def cell_coefficients(mesh, cell_id, alpha, beta, degree=4):
     """Averaged coefficients of one cell.
 
-    ``alpha`` must be positive at the barycenter and in quadrature mean;
-    ``beta`` returns a length-dim vector per point.
+    ``alpha`` is a nonnegative constant or callable; ``beta`` returns a
+    length-dim vector per point.
     """
     geo = _geometry(mesh, [cell_id])
-    alpha_bar, theta_bar, beta_bar = _averaged_coefficients(geo, alpha, beta, degree)
-    return CellCoefficients(
-        alpha_bar=float(alpha_bar[0]),
-        theta_bar=theta_bar[0],
-        beta_bar=beta_bar[0],
-        gamma=gamma,
-    )
+    alpha_bar, beta_bar = _averaged_coefficients(geo, alpha, beta, degree)
+    a = float(alpha_bar[0])
+    return CellCoefficients(a, beta_bar[0] / a if a > 0 else None, beta_bar[0])
 
 
 @dataclass(frozen=True)

@@ -138,8 +138,10 @@ def make_case(name, alpha=1.0, gamma=1.0, diagonal=DIAG_LL_UR):
     """
     alpha = float(alpha)
     gamma = float(gamma)
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not alpha >= 0:
+        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     if name in ("grad2d", "grad3d"):
         dim, beta = (2, _rotation) if name == "grad2d" else (3, _cyclic)
 

@@ -54,12 +54,6 @@ def dof_map(mesh, k):
     )
 
 
-def facet_outward_signs(geom):
-    """+1 where the stored facet normal of the cell ``geom`` (from
-    ``cell_geometry``) points out of it."""
-    return geom.facet_signs
-
-
 def incidence(mesh, k):
     """Signed incidence matrix D^k mapping degree-k DOFs to degree-(k+1)
     DOFs, as an integer CSR matrix.  D^{k+1} D^k = 0 holds exactly.

@@ -30,7 +30,6 @@ from safefem.whitney import (
     canonical_interpolate,
     dof_map,
     eval_basis,
-    facet_outward_signs,
     incidence,
     local_mass,
     local_stiffness,
@@ -155,7 +154,7 @@ def test_criterion_5_structure_identities(rng):
             acc += w * np.outer(t, t) / geom.volume
         worst_edge = max(worst_edge, abs(acc - np.eye(dim)).max())
         if dim == 3:
-            signs = facet_outward_signs(geom)
+            signs = geom.facet_signs
             acc = np.zeros((3, 3))
             for a in range(4):
                 for b in range(4):

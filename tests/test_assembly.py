@@ -15,7 +15,7 @@ from safefem.assembly import (
     local_safe_matrix,
     local_safe_oracle,
 )
-from safefem.exponential import CellCoefficients, cell_coefficients
+from safefem.exponential import cell_coefficients
 from safefem.mesh import (
     build_unit_cube_mesh,
     build_unit_square_mesh,
@@ -24,7 +24,6 @@ from safefem.mesh import (
 )
 from safefem.whitney import (
     dof_map,
-    facet_outward_signs,
     local_incidence,
     local_mass,
     local_stiffness,
@@ -40,8 +39,8 @@ def const_beta(vec):
     return lambda x: np.tile(vec, (len(x), 1))
 
 
-def coeffs_for(mesh, cid, alpha, beta_vec, gamma=None):
-    return cell_coefficients(mesh, cid, alpha, const_beta(beta_vec), gamma=gamma)
+def coeffs_for(mesh, cid, alpha, beta_vec):
+    return cell_coefficients(mesh, cid, alpha, const_beta(beta_vec))
 
 
 def test_graph_weights_reference_triangle():
@@ -83,7 +82,7 @@ def test_face_pair_weight_identity(rng):
         mesh = single_cell_mesh(verts)
         geom = cell_geometry(mesh, 0)
         W = graph_weights(mesh, 0, 1).face_pair
-        signs = facet_outward_signs(geom)
+        signs = geom.facet_signs
         acc = np.zeros((3, 3))
         for a in range(4):
             for b in range(4):
@@ -220,14 +219,23 @@ def test_global_zero_drift_is_stiffness_plus_mass(rng):
         assert diff <= 1e-13 * abs(A).max()
 
 
+def half_zero(a):
+    """Diffusion a on the cells left of x = 1/2 and 1e-3 elsewhere."""
+    return lambda x: np.where(x[:, 0] < 0.5, a, 1e-3)
+
+
 def test_vanishing_diffusion_limit_is_continuous():
-    # alpha -> 0 and the dedicated limit branch agree
-    beta2 = lambda x: np.column_stack([-x[:, 1], x[:, 0]]) + 0.5
-    for k in (0, 1):
-        mesh = build_unit_square_mesh(4)
-        tiny = assemble(mesh, k, 1e-12, beta2).matrix
-        limit = assemble(mesh, k, 0, beta2).matrix
-        assert abs(tiny - limit).max() <= 1e-8
+    # alpha -> 0 and alpha = 0 agree, on the whole domain and on half of it
+    betas = {
+        2: lambda x: np.column_stack([-x[:, 1], x[:, 0]]) + 0.5,
+        3: lambda x: np.column_stack([x[:, 1], x[:, 2], x[:, 0]]) - 0.2,
+    }
+    for dim, k in CONVECTIVE_SPECIES:
+        mesh = build_unit_square_mesh(4) if dim == 2 else build_unit_cube_mesh(2)
+        for zero, tiny in ((0, 1e-12), (half_zero(0.0), half_zero(1e-12))):
+            limit = assemble(mesh, k, zero, betas[dim]).matrix
+            near = assemble(mesh, k, tiny, betas[dim]).matrix
+            assert abs(near - limit).max() <= 1e-8
 
 
 def test_upwind_limit_matches_kernel_limits(rng):
@@ -236,7 +244,7 @@ def test_upwind_limit_matches_kernel_limits(rng):
     mesh = random_cell_mesh(rng, 2)
     beta = np.array([3.0, 1.0])
     A0 = assemble(mesh, 1, 0, const_beta(beta)).matrix.toarray()
-    coeffs = CellCoefficients(0.0, None, beta, None)
+    coeffs = coeffs_for(mesh, 0, 0, beta)
     loc = local_safe_matrix(mesh, 0, 1, coeffs).matrix
     dm = dof_map(mesh, 1)
     ref = np.zeros_like(A0)
@@ -266,7 +274,7 @@ def test_load_facet_constant_field():
     ref = np.zeros(dm.num_dofs)
     for cid in range(mesh.num_cells):
         geom = cell_geometry(mesh, cid)
-        signs = facet_outward_signs(geom)
+        signs = geom.facet_signs
         for slot, loc in enumerate(local_subsimplices(2, 1)):
             opp = next(v for v in range(3) if v not in loc)
             fid = mesh.cell_entities[1][cid, slot]
@@ -351,3 +359,17 @@ def test_assemble_rejects_nonpositive_alpha():
         assemble(mesh, 0, -1.0, const_beta([0.0, 0.0]))
     with pytest.raises(ValueError):
         assemble(mesh, 0, lambda x: -np.ones(len(x)), const_beta([0.0, 0.0]))
+
+
+def test_assemble_rejects_nonfinite_gamma():
+    # the first cell with a non-finite reaction value is named
+    mesh = build_unit_square_mesh(2)
+    beta = const_beta([1.0, 0.0])
+    for k in (0, 1):
+        for gamma in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"gamma is not finite on cell 0\b"):
+                assemble(mesh, k, 1.0, beta, gamma)
+        xc = cell_geometry(mesh, 5).barycenter
+        gamma = lambda x: np.where(np.linalg.norm(x - xc, axis=1) < 0.1, np.nan, 1.0)
+        with pytest.raises(ValueError, match=r"gamma is not finite on cell 5\b"):
+            assemble(mesh, k, 1.0, beta, gamma)

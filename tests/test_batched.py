@@ -9,7 +9,7 @@ import pytest
 
 from conftest import jittered_mesh
 from safefem.assembly import assemble, assemble_load, local_safe_matrix
-from safefem.exponential import CellCoefficients, cell_coefficients
+from safefem.exponential import cell_coefficients
 from safefem.mesh import (
     build_unit_cube_mesh,
     build_unit_square_mesh,
@@ -36,6 +36,7 @@ ALPHAS = {
     "constant": 0.05,
     "callable": lambda x: 0.02 + x[:, 0] ** 2,
     "zero": 0.0,
+    "half-zero": lambda x: np.where(x[:, 0] < 0.5, 0.0, 0.02 + x[:, 0] ** 2),
 }
 GAMMAS = {"constant": 1.5, "callable": lambda x: 1.0 + x[:, -1]}
 
@@ -53,10 +54,7 @@ def per_cell_matrix(mesh, k, alpha, beta, gamma):
     ref = np.zeros((dm.num_dofs, dm.num_dofs))
     for cid in range(mesh.num_cells):
         geom = cell_geometry(mesh, cid)
-        if callable(alpha) or alpha != 0.0:
-            coeffs = cell_coefficients(mesh, cid, alpha, beta)
-        else:
-            coeffs = CellCoefficients(0.0, None, beta(geom.barycenter[None])[0])
+        coeffs = cell_coefficients(mesh, cid, alpha, beta)
         loc = local_safe_matrix(mesh, cid, k, coeffs).matrix
         if callable(gamma):
             pts, wts = simplex_rule(geom.vertices, 4)
@@ -197,9 +195,10 @@ def test_nonpositive_callable_alpha_is_named(dim, k):
     mesh = build_unit_square_mesh(4) if dim == 2 else build_unit_cube_mesh(2)
     cid = mesh.num_cells - 3
     xc = cell_geometry(mesh, cid).barycenter
+    for bad in (-1.0, np.nan):
 
-    def alpha(x):
-        return np.where(np.all(np.abs(x - xc) < 1e-12, axis=1), -1.0, 1.0)
+        def alpha(x):
+            return np.where(np.all(np.abs(x - xc) < 1e-12, axis=1), bad, 1.0)
 
-    with pytest.raises(ValueError, match=rf"alpha <= 0 at barycenter of cell {cid}\b"):
-        assemble(mesh, k, alpha, beta_field(dim))
+        with pytest.raises(ValueError, match=rf"alpha is negative.* on cell {cid}\b"):
+            assemble(mesh, k, alpha, beta_field(dim))

@@ -2,8 +2,10 @@
 output artifacts and exit codes."""
 
 import csv
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +141,11 @@ def test_exit_code_config_errors(tmp_path, capsys):
     cfg.write_text("warp_drive = on\n")
     rc = main(["convergence", "--config", str(cfg), "--outdir", str(tmp_path)])
     assert rc == 2
+    # NaN diffusion or reaction
+    for opt in ("--alpha", "--gamma"):
+        rc = main(["solve", "--case", "div2d", "--n", "4", opt, "nan",
+                   "--outdir", str(tmp_path)])
+        assert rc == 2
     # unknown case name is rejected by the argument parser itself
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--case", "heat1d", "--n", "2"])
@@ -169,3 +176,17 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "wrote" in proc.stdout
+
+
+def test_stability_sweep_script(tmp_path):
+    # the vanishing-diffusion sweep runs end to end, one table row per alpha
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_stability_sweep.py"),
+         "--n", "4", "--alphas", "1e-3,0", "--outdir", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[1:]
+    assert [float(r.split()[0]) for r in rows] == [1e-3, 0.0]

@@ -524,15 +524,21 @@ def test_cell_coefficients_rejects_nonpositive_alpha():
         cell_coefficients(mesh, 0, -1.0, beta)
     with pytest.raises(ValueError):
         cell_coefficients(mesh, 0, lambda x: x[:, 0] - 10.0, beta)
-
-
-def test_cell_coefficients_rejects_zero_alpha():
-    # the vanishing-diffusion limit is selected at assembly level, the
-    # per-cell averaging itself insists on positive alpha
-    mesh = build_unit_square_mesh(1)
-    beta = lambda x: np.zeros_like(x)
     with pytest.raises(ValueError):
-        cell_coefficients(mesh, 0, 0, beta)
+        cell_coefficients(mesh, 0, math.nan, beta)
+
+
+def test_cell_coefficients_zero_alpha_is_upwind_limit():
+    # a cell where alpha vanishes at the barycenter carries the
+    # barycentric drift unscaled and no fitted direction
+    mesh = build_unit_square_mesh(1)
+    xc = cell_geometry(mesh, 0).barycenter
+    beta = lambda x: np.column_stack([1.0 + x[:, 0], -x[:, 1]])
+    for alpha in (0, 0.0, lambda x: (x[:, 0] - xc[0]) ** 2):
+        coeffs = cell_coefficients(mesh, 0, alpha, beta)
+        assert coeffs.alpha_bar == 0.0
+        assert coeffs.theta_bar is None
+        np.testing.assert_array_equal(coeffs.beta_bar, beta(xc[None])[0])
 
 
 def test_exp_operators_zero_drift_reduce_to_incidence(rng):

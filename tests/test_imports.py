@@ -1,4 +1,5 @@
-"""Every module-level import in the package and the tests is used.
+"""Every module-level import in the package, the tests and the scripts is
+used.
 
 A name bound by an import at module level counts as used when it appears
 anywhere else in the module as a name (``np``, ``np.sum``, a decorator,
@@ -14,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(
     p for p in (ROOT / "src" / "safefem").glob("*.py") if p.name != "__init__.py"
-) + sorted((ROOT / "tests").glob("*.py"))
+) + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(source):

@@ -1,6 +1,7 @@
 """Tests for the manufactured-solution harness: cases, strong residuals,
 error norms, convergence tables and stability metrics."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -171,6 +172,9 @@ def test_case_names_construct():
         assert mesh.dim == case.dim
     with pytest.raises(ValueError):
         make_case("heat1d")
+    for alpha, gamma in ((-1.0, 1.0), (np.nan, 1.0), (1.0, np.nan), (1.0, np.inf)):
+        with pytest.raises(ValueError):
+            make_case("grad2d", alpha=alpha, gamma=gamma)
 
 
 @pytest.mark.parametrize("name", ["grad2d", "grad3d", "div2d", "curl3d"])
@@ -244,6 +248,60 @@ def test_convergence_orders_vertex_scheme():
     # errors decrease monotonically
     l2s = [r.l2_err for r in rep.rows]
     assert l2s == sorted(l2s, reverse=True)
+
+
+def _variable_alpha(P):
+    return 0.5 + 0.4 * P[:, 0] * P[:, 1]
+
+
+def _variable_alpha_load(P):
+    """f = -alpha lap u - grad alpha . grad u - beta . grad u + gamma u of
+    grad2d with gamma = 1, div beta = 0 and the variable diffusion."""
+    s, c = np.sin(np.pi * P), np.cos(np.pi * P)
+    u = s[:, 0] * s[:, 1]
+    grad = np.pi * np.column_stack([c[:, 0] * s[:, 1], s[:, 0] * c[:, 1]])
+    # beta = (-y, x) and grad alpha = 0.4 (y, x)
+    drift = np.column_stack([-0.6 * P[:, 1], 1.4 * P[:, 0]])
+    return (_variable_alpha(P) * 2 * np.pi**2 + 1.0) * u - np.vecdot(drift, grad)
+
+
+def test_variable_alpha_load_matches_symbolic_derivation():
+    x, y = sym.symbols("x y")
+    want = symbolic_case("grad2d", 0.5 + sym.Rational(2, 5) * x * y, 1.0)[3]
+    pts = np.random.default_rng(7).uniform(0.0, 1.0, size=(1000, 2))
+    b = want(pts)
+    assert np.max(np.abs(_variable_alpha_load(pts) - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+def test_convergence_with_variable_alpha():
+    # the cell mean of a variable diffusion keeps both rates of the
+    # vertex scheme
+    case = dataclasses.replace(
+        make_case("grad2d"), alpha=_variable_alpha, f=_variable_alpha_load
+    )
+    rep = run_convergence(case, (8, 16, 32))
+    assert rep.rows[-1].l2_order >= 1.9
+    assert rep.rows[-1].d_order >= 0.95
+
+
+def test_half_domain_vanishing_diffusion_solve():
+    # alpha = 0 left of x = 1/2 and 1e-3 right of it: finite, bounded by
+    # the homogeneous runs, and the limit of alpha -> 0 on that half
+    case = make_case("div2d-stability", alpha=1e-3)
+
+    def solve_with(alpha):
+        u, report = solve_case(dataclasses.replace(case, alpha=alpha), 32)[1:]
+        assert np.all(np.isfinite(u)) and report.residual <= 1e-10
+        return u
+
+    def half(a):
+        return lambda x: np.where(x[:, 0] < 0.5, a, 1e-3)
+
+    u = solve_with(half(0.0))
+    bound = max(stability_metrics(solve_with(a)).max_abs_dof for a in (0.0, 1e-3))
+    assert stability_metrics(u).max_abs_dof <= 1.05 * bound
+    m = stability_metrics(solve_with(half(1e-12)), reference=u)
+    assert m.max_diff <= 1e-8 * m.max_abs_dof
 
 
 def test_convergence_respects_diagonal():

@@ -17,7 +17,6 @@ from safefem.whitney import (
     canonical_interpolate,
     dof_map,
     eval_basis,
-    facet_outward_signs,
     incidence,
     local_incidence,
     local_mass,
@@ -48,7 +47,7 @@ def test_facet_outward_signs(rng):
     for dim in (2, 3):
         mesh = random_cell_mesh(rng, dim)
         geom = cell_geometry(mesh, 0)
-        signs = facet_outward_signs(geom)
+        signs = geom.facet_signs
         locs = local_subsimplices(dim, dim - 1)
         for slot, loc in enumerate(locs):
             centroid = geom.vertices[list(loc)].mean(axis=0)
@@ -130,7 +129,7 @@ def _loop_incidence(mesh, k):
     D = np.zeros((mesh.num_entities(k + 1), mesh.num_entities(k)), dtype=np.int64)
     if k == n - 1:
         for c in range(mesh.num_cells):
-            D[c, mesh.cell_entities[k][c]] = facet_outward_signs(cell_geometry(mesh, c))
+            D[c, mesh.cell_entities[k][c]] = cell_geometry(mesh, c).facet_signs
         return D
     ids = {tuple(s): i for i, s in enumerate(mesh.simplices[k].tolist())}
     for r, s in enumerate(mesh.simplices[k + 1].tolist()):
