@@ -2,24 +2,17 @@
 H(grad), H(curl) and H(div) on simplicial meshes."""
 
 from .assembly import (
-    GraphWeights,
     SparseSystem,
     apply_essential_bc,
     assemble,
     assemble_load,
-    graph_weights,
-    local_safe_matrix,
     local_safe_oracle,
 )
 from .exponential import (
-    CellCoefficients,
-    LocalExpOperators,
     bernoulli1,
     bernoulli2,
     bernoulli3,
-    cell_coefficients,
     exp_average,
-    harmonic_average,
     local_exp_operators,
 )
 from .mesh import (
@@ -28,7 +21,6 @@ from .mesh import (
     MeshComplex,
     build_unit_cube_mesh,
     build_unit_square_mesh,
-    cell_geometry,
     save_vtk,
 )
 from .solver import SolveReport, SolverConfig, solve
@@ -47,14 +39,9 @@ from .verify import (
 )
 from .whitney import (
     DofMap,
-    LocalFormMatrix,
-    WhitneyBasis,
     canonical_interpolate,
     dof_map,
-    eval_basis,
     incidence,
-    local_mass,
-    local_stiffness,
 )
 
 __version__ = "0.1.0"

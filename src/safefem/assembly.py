@@ -19,24 +19,18 @@ conjugated difference operators and the averaging maps; both routes
 agree to rounding.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .exponential import (
-    _averaged_coefficients,
     _bernoulli,
     _eval_at,
+    averaged_coefficients,
     local_exp_operators,
 )
-from .mesh import (
-    _geometry,
-    cell_blocks,
-    local_subsimplices,
-    mesh_geometry,
-    opposite_vertices,
-)
+from .mesh import cell_blocks, local_subsimplices, mesh_geometry, opposite_vertices
 from .quadrature import (
     reference_barycentric,
     reference_simplex_rule,
@@ -45,28 +39,11 @@ from .quadrature import (
 )
 from .whitney import (
     DofMap,
-    LocalFormMatrix,
     basis_derivatives,
     basis_values,
     dof_map,
     mass_matrices,
 )
-
-
-@dataclass
-class GraphWeights:
-    """Sub-simplex weights of the cell graph Laplacian at one degree.
-
-    ``edge`` holds omega_E per local edge (k = 0), ``face_pair`` the
-    symmetric omega_FF' table with zero diagonal (k = 1, 3d), ``top`` the
-    scalar 1/|T| (k = n-1).  Unused entries are None.
-    """
-
-    cell: int
-    k: int
-    edge: np.ndarray | None = None
-    face_pair: np.ndarray | None = None
-    top: float | None = None
 
 
 def _edge_weights(geo, k):
@@ -102,56 +79,31 @@ def _face_pairs():
 _FACE_PAIRS = _face_pairs()
 
 
-def graph_weights(mesh, cell_id, k):
-    """Graph-Laplacian weights of one cell for degree k."""
-    n = mesh.dim
-    geo = _geometry(mesh, [cell_id])
+def local_safe_oracle(geo, k, alpha_bar, theta_bar):
+    """Independent local matrix of the one-cell block ``geo`` (a
+    MeshGeometry) through the averaged-operator route, for the cell's
+    ``alpha_bar > 0`` and fitted drift ``theta_bar``: assemble
+    (alpha Pi J w, d v)_T from the conjugated difference operator J and
+    the constant-reproducing averaging map Pi.
+    """
+    if not alpha_bar > 0:
+        raise ValueError("oracle route needs alpha_bar > 0")
+    geom = geo[0]
+    n = geom.vertices.shape[1]
+    d = basis_derivatives(geo, k)[0]
+    J = local_exp_operators(geom, k, theta_bar)[2]
+    scale = alpha_bar * geom.volume
     if k == 0:
-        return GraphWeights(cell_id, k, edge=_edge_weights(geo, k)[0])
+        w = _edge_weights(geo, k)[0]
+        P = np.zeros((n, len(w)))
+        for e, (i, j) in enumerate(local_subsimplices(n, 1)):
+            P[:, e] = w[e] * geom.tangents[i, j] / geom.volume
+        return scale * (d @ (P @ J))
     if k == 1 and n == 3:
         omega = _edge_weights(geo, k)[0]
         W = np.zeros((4, 4))
         for a, b, e, *_ in _FACE_PAIRS:
             W[a, b] = omega[e]
-        return GraphWeights(cell_id, k, face_pair=W)
-    if k == n - 1:
-        return GraphWeights(cell_id, k, top=float(1.0 / geo.volume[0]))
-    raise ValueError(f"no graph weights for k={k} in dimension {n}")
-
-
-def local_safe_matrix(mesh, cell_id, k, coeffs):
-    """Local convective-diffusive matrix via Bernoulli kernels.
-
-    ``coeffs.alpha_bar = 0`` gives the upwind limits of the kernels.
-    """
-    geo = _geometry(mesh, [cell_id])
-    bbar = np.asarray(coeffs.beta_bar, dtype=float)[None]
-    matrix = _safe_matrices(geo, k, np.array([coeffs.alpha_bar]), bbar)[0]
-    return LocalFormMatrix(cell_id, k, "safe", matrix)
-
-
-def local_safe_oracle(mesh, cell_id, k, coeffs):
-    """Independent local matrix through the averaged-operator route
-    (requires ``alpha_bar > 0``): assemble (alpha Pi J w, d v)_T from the
-    conjugated difference operator J and the constant-reproducing
-    averaging map Pi.
-    """
-    if not coeffs.alpha_bar > 0 or coeffs.theta_bar is None:
-        raise ValueError("oracle route needs alpha_bar > 0 and theta_bar")
-    n = mesh.dim
-    geo = _geometry(mesh, [cell_id])
-    geom = geo[0]
-    d = basis_derivatives(geo, k)[0]
-    J = local_exp_operators(mesh, cell_id, k, coeffs.theta_bar).j_k
-    scale = coeffs.alpha_bar * geom.volume
-    if k == 0:
-        w = graph_weights(mesh, cell_id, k).edge
-        P = np.zeros((n, len(w)))
-        for e, (i, j) in enumerate(local_subsimplices(n, 1)):
-            P[:, e] = w[e] * geom.tangents[i, j] / geom.volume
-        return LocalFormMatrix(cell_id, k, "safe-oracle", scale * (d @ (P @ J)))
-    if k == 1 and n == 3:
-        W = graph_weights(mesh, cell_id, k).face_pair
         signs = geom.facet_signs.astype(float)
         n_out = signs[:, None] * geom.facet_normals
         P = np.zeros((3, 4))
@@ -161,10 +113,11 @@ def local_safe_oracle(mesh, cell_id, k, coeffs):
                 if fb != fa:
                     acc += W[fa, fb] * (geom.facet_measures[fb] / geom.volume) * n_out[fb]
             P[:, fa] = signs[fa] * acc
-        return LocalFormMatrix(cell_id, k, "safe-oracle", scale * (d @ (P @ J)))
+        return scale * (d @ (P @ J))
     if k == n - 1:
+        # the cell weight omega_T = 1/|T|
         fvals = J[0] / geom.volume
-        return LocalFormMatrix(cell_id, k, "safe-oracle", scale * np.outer(d, fvals))
+        return scale * np.outer(d, fvals)
     raise ValueError(f"no oracle form for k={k} in dimension {n}")
 
 
@@ -177,7 +130,6 @@ class SparseSystem:
     dof_map: DofMap
     k: int
     scheme: str
-    constrained: dict = field(default_factory=dict)
 
 
 def _curl_tables():
@@ -233,7 +185,7 @@ _KERNEL_ARGS = {
 }
 
 
-def _safe_matrices(geo, k, eps, bbar):
+def safe_matrices(geo, k, eps, bbar):
     """Local convective-diffusive matrices of every cell of ``geo``,
     (ncells, nloc, nloc), for kernel parameters ``eps`` (ncells,) and
     averaged drifts ``bbar`` (ncells, n).
@@ -308,8 +260,8 @@ def _assemble(mesh, geo, k, alpha, beta, gamma=0.0, scheme="primal", quad_degree
     with_mass = callable(gamma) or float(np.asarray(gamma)) != 0.0
     for cells in cell_blocks(ncells, reference_simplex_rule(n, quad_degree)[1].size):
         block = geo[cells]
-        eps, bbar = _averaged_coefficients(block, alpha, beta, quad_degree)
-        A = _safe_matrices(block, k, eps, bbar)
+        eps, bbar = averaged_coefficients(block, alpha, beta, quad_degree)
+        A = safe_matrices(block, k, eps, bbar)
         if with_mass:
             A = A + _weighted_masses(block, k, gamma, quad_degree)
         blocks[cells] = A
@@ -435,5 +387,4 @@ def apply_essential_bc(system, boundary_values):
         dof_map=dm,
         k=system.k,
         scheme=system.scheme,
-        constrained={int(d): float(v) for d, v in boundary_values.items()},
     )

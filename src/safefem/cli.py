@@ -81,8 +81,6 @@ class RunConfig:
                 parts = [p for p in val.split(",") if p.strip()]
                 elem = float if key == "eps" else int
                 kw[key] = tuple(elem(p) for p in parts)
-            elif isinstance(ref, bool):
-                kw[key] = val.lower() in ("1", "true", "yes")
             elif isinstance(ref, int):
                 kw[key] = int(val)
             elif isinstance(ref, float):

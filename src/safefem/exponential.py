@@ -16,11 +16,10 @@ upwind limits at eps = 0 exactly.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import _geometry, cell_geometry, local_subsimplices
+from .mesh import local_subsimplices
 from .quadrature import simplex_rules
 from .whitney import local_incidence
 
@@ -123,13 +122,6 @@ def exp_average(vertices, theta):
     return math.exp(mu) * (math.factorial(len(w) - 1) * float(d))
 
 
-def harmonic_average(vertices, alpha_bar, theta):
-    """Harmonic-type coefficient average alpha / avg(exp(theta . x))."""
-    if alpha_bar <= 0:
-        raise ValueError("alpha_bar must be positive")
-    return alpha_bar / exp_average(vertices, theta)
-
-
 def _bernoulli(eps, args):
     """The kernel B_j, j = ``args.shape[-1]``, of every row of ``args``
     (..., j), with ``eps`` broadcast to ``args.shape[:-1]``.
@@ -179,22 +171,6 @@ def bernoulli3(eps, s, t, r):
     return float(_bernoulli(eps, (s, t, r)))
 
 
-@dataclass(frozen=True)
-class CellCoefficients:
-    """Averaged PDE data on one cell.
-
-    ``alpha_bar`` is the quadrature mean of the diffusion over the cell,
-    ``theta_bar = beta(x_c) / alpha(x_c)`` the fitted drift direction and
-    ``beta_bar = alpha_bar * theta_bar``.  A cell with ``alpha(x_c) = 0``
-    is in the vanishing-diffusion limit: ``alpha_bar = 0``, ``theta_bar``
-    is None and ``beta_bar`` is the barycentric drift itself.
-    """
-
-    alpha_bar: float
-    theta_bar: np.ndarray | None
-    beta_bar: np.ndarray
-
-
 def _eval_at(coeff, points):
     """A constant or vectorized-callable coefficient at points of shape
     (..., n), shaped (...) for scalar and (..., n) for vector data."""
@@ -207,12 +183,19 @@ def _eval_at(coeff, points):
     return vals.reshape(points.shape[:-1] + vals.shape[1:])
 
 
-def _averaged_coefficients(geo, alpha, beta, degree):
-    """Kernel parameters of every cell of ``geo`` (a MeshGeometry): the
-    arrays ``alpha_bar`` and ``beta_bar`` described in CellCoefficients.
-    Raises ValueError naming the first cell where alpha is negative or
-    not finite at the barycenter, or positive there with a mean that is
-    not positive and finite."""
+def averaged_coefficients(geo, alpha, beta, degree):
+    """Kernel parameters (alpha_bar, beta_bar) of every cell of ``geo`` (a
+    MeshGeometry), shaped (ncells,) and (ncells, n).
+
+    ``alpha_bar`` is the quadrature mean of the diffusion over the cell
+    and ``beta_bar = alpha_bar * theta_bar``, with the fitted drift
+    direction ``theta_bar = beta(x_c) / alpha(x_c)``.  A cell with
+    ``alpha(x_c) = 0`` is in the vanishing-diffusion limit: ``alpha_bar``
+    is 0 and ``beta_bar`` the barycentric drift itself.  ``alpha`` is a
+    nonnegative constant or vectorized callable; ``beta`` returns a
+    length-n vector per point.  Raises ValueError naming the first cell
+    where alpha is negative or not finite at the barycenter, or positive
+    there with a mean that is not positive and finite."""
     xc = geo.barycenter
     alpha_c = _eval_at(alpha, xc)
     fitted = alpha_c > 0
@@ -234,41 +217,19 @@ def _averaged_coefficients(geo, alpha, beta, degree):
     return alpha_bar, np.where(fitted, alpha_bar, 1.0)[:, None] * theta
 
 
-def cell_coefficients(mesh, cell_id, alpha, beta, degree=4):
-    """Averaged coefficients of one cell.
-
-    ``alpha`` is a nonnegative constant or callable; ``beta`` returns a
-    length-dim vector per point.
-    """
-    geo = _geometry(mesh, [cell_id])
-    alpha_bar, beta_bar = _averaged_coefficients(geo, alpha, beta, degree)
-    a = float(alpha_bar[0])
-    return CellCoefficients(a, beta_bar[0] / a if a > 0 else None, beta_bar[0])
-
-
-@dataclass(frozen=True)
-class LocalExpOperators:
-    """Diagonal interpolation inverses H^k, H^{k+1} and the conjugated
-    difference operator J^k = H^{k+1} D^k diag(averages_k) of one cell."""
-
-    cell: int
-    k: int
-    h_k: np.ndarray
-    h_k1: np.ndarray
-    j_k: np.ndarray
-
-
-def local_exp_operators(mesh, cell_id, k, theta_bar):
-    """Exponential-fitting operators of one cell.
+def local_exp_operators(geom, k, theta_bar):
+    """Exponential-fitting operators of one cell, ``geom`` a MeshGeometry
+    row without the cell axis: the diagonal interpolation inverses H^k
+    and H^{k+1} and the conjugated difference operator
+    J^k = H^{k+1} D^k diag(averages_k), returned as (h_k, h_k1, j_k).
 
     ``j_k`` is evaluated from shifted averages, entity pair by entity
     pair, so it stays finite for arbitrarily strong drift; the raw
     diagonals ``h_k`` can overflow for extreme exponents.
     """
-    n = mesh.dim
+    n = geom.vertices.shape[-1]
     if not 0 <= k < n:
         raise ValueError(f"J^{k} needs k < dimension {n}")
-    geom = cell_geometry(mesh, cell_id)
     w = geom.vertices @ np.asarray(theta_bar, dtype=float)
     mu_lo, d_lo = _dd_exp(w[np.array(local_subsimplices(n, k))])
     mu_hi, d_hi = _dd_exp(w[np.array(local_subsimplices(n, k + 1))])
@@ -282,5 +243,5 @@ def local_exp_operators(mesh, cell_id, k, theta_bar):
     with np.errstate(over="ignore"):
         hk = np.exp(-mu_lo) / rho_lo
         hk1 = np.exp(-mu_hi) / rho_hi
-    return LocalExpOperators(cell=cell_id, k=k, h_k=hk, h_k1=hk1, j_k=J)
+    return hk, hk1, J
 

@@ -274,17 +274,6 @@ def mesh_geometry(mesh):
     return _geometry(mesh, np.arange(mesh.num_cells))
 
 
-def cell_geometry(mesh, cell_id):
-    """Metric data of one cell: ``mesh_geometry`` restricted to this cell,
-    without the cell axis."""
-    return _geometry(mesh, [cell_id])[0]
-
-
-def entity_vertices(mesh, k, entity_id):
-    """Vertex coordinate array of a k-entity."""
-    return mesh.vertices[mesh.simplices[k][entity_id]]
-
-
 def save_vtk(mesh, path, cell_data=None, field_label=None):
     """Write the mesh as a legacy ASCII VTK unstructured grid.
 

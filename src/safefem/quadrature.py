@@ -89,11 +89,6 @@ def simplex_measures(vertices):
     return np.sqrt(np.maximum(np.linalg.det(gram), 0.0)) / math.factorial(m)
 
 
-def simplex_measure(vertices):
-    """Measure of the simplex spanned by ``vertices`` ((m+1, n) array)."""
-    return float(simplex_measures(np.asarray(vertices, dtype=float)[None])[0])
-
-
 def simplex_rules(vertices, degree):
     """Quadrature points and weights on stacked physical simplices.
 
@@ -107,13 +102,3 @@ def simplex_rules(vertices, degree):
     pts = verts[:, :1] + ref_pts @ (verts[:, 1:] - verts[:, :1])
     ref_measure = 1.0 / math.factorial(m) if m > 0 else 1.0
     return pts, ref_wts * (simplex_measures(verts) / ref_measure)[:, None]
-
-
-def simplex_rule(vertices, degree):
-    """Quadrature points and weights on a physical simplex.
-
-    ``vertices`` is an (m+1, n) array with m <= n.  Weights sum to the
-    m-dimensional measure of the simplex.
-    """
-    pts, wts = simplex_rules(np.asarray(vertices, dtype=float)[None], degree)
-    return pts[0], wts[0]

@@ -36,7 +36,6 @@ class SolveReport:
 
     method: str
     n_dofs: int
-    converged: bool
     iterations: int | None
     residual: float
     fill: int | None
@@ -137,7 +136,7 @@ def solve(system, config=None):
             raise RuntimeError(
                 f"direct solve relative residual {res:.3e} exceeds tol {config.tol:.3e}"
             )
-        return x, SolveReport("direct", n, True, None, res, lu.nnz)
+        return x, SolveReport("direct", n, None, res, lu.nnz)
 
     try:
         ilu = spla.spilu(A, drop_tol=1e-5, fill_factor=20.0)
@@ -163,4 +162,4 @@ def solve(system, config=None):
             f"gmres did not converge in {count['it']} inner iterations (info={info})"
         )
     res = np.linalg.norm(A @ x - b) / max(bnorm, 1e-300)
-    return x, SolveReport("iterative", n, True, count["it"], res, None)
+    return x, SolveReport("iterative", n, count["it"], res, None)

@@ -307,8 +307,15 @@ class ConvergenceRow:
     d_order: float | None
 
 
+def _coefficient_text(coeff):
+    return "variable" if callable(coeff) else f"{coeff:g}"
+
+
 @dataclass
 class ConvergenceReport:
+    """Error and rate table of a case; ``alpha`` and ``gamma`` are
+    constants or callables, printed as ``variable``."""
+
     case: str
     scheme: str
     alpha: float
@@ -317,8 +324,9 @@ class ConvergenceReport:
 
     def __str__(self):
         out = [
-            f"case {self.case} ({self.scheme}), alpha={self.alpha:g}, "
-            f"gamma={self.gamma:g}",
+            f"case {self.case} ({self.scheme}), "
+            f"alpha={_coefficient_text(self.alpha)}, "
+            f"gamma={_coefficient_text(self.gamma)}",
             f"{'1/h':>6} {'l2_err':>14} {'order':>7} {'d_err':>14} {'order':>7}",
         ]
         for r in self.rows:

@@ -15,7 +15,6 @@ the sorted-order normals.  Cells store their vertices sorted, so local
 and global orientations coincide and all cell-to-DOF signs are +1.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +22,6 @@ import scipy.sparse as sp
 
 from .mesh import _geometry, local_subsimplices, mesh_geometry, opposite_vertices
 from .quadrature import reference_simplex_rule
-
-
-def num_local_dofs(n, k):
-    return math.comb(n + 1, k + 1)
 
 
 @dataclass(frozen=True)
@@ -85,8 +80,9 @@ def incidence(mesh, k):
 
 def local_incidence(geom, k):
     """Local incidence D^k (rows: (k+1)-subsimplices, cols:
-    k-subsimplices), matching the global conventions: (nhi, nlo) for one
-    cell from ``cell_geometry``, (ncells, nhi, nlo) for a MeshGeometry.
+    k-subsimplices), matching the global conventions: (ncells, nhi, nlo)
+    for a MeshGeometry, (nhi, nlo) for one of its rows without the cell
+    axis.
 
     Below the top degree, dropping the vertex at position p of a sorted
     subsimplex gives the sign (-1)^p; the top degree takes the outward
@@ -104,36 +100,6 @@ def local_incidence(geom, k):
         for p in range(k + 2):
             D[r, lo.index(s[:p] + s[p + 1:])] = (-1) ** p
     return np.broadcast_to(D, geom.facet_signs.shape[:-1] + D.shape)
-
-
-@dataclass
-class WhitneyBasis:
-    """Values (and exterior-derivative proxies) of all local basis
-    functions at a batch of points.
-
-    ``values`` has shape (npts, nloc) for scalar species and
-    (npts, nloc, dim) for vector species.  ``d_values`` holds gradients
-    for k = 0, curls for the 3d edge space, divergences for the facet
-    space and zeros for k = n; constant-per-cell proxies are returned
-    without a point axis.
-    """
-
-    cell: int
-    k: int
-    values: np.ndarray
-    d_values: np.ndarray
-
-
-def eval_basis(mesh, cell_id, k, points, tol=1e-10):
-    """Evaluate the local degree-k basis at physical points of one cell.
-
-    Raises ValueError when a point lies outside the cell beyond ``tol``
-    (in barycentric coordinates).
-    """
-    geo = _geometry(mesh, [cell_id])
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    vals = basis_values(geo, k, pts[None], tol)[0]
-    return WhitneyBasis(cell_id, k, vals, basis_derivatives(geo, k)[0])
 
 
 def basis_values(geo, k, points, tol=None):
@@ -191,32 +157,6 @@ def basis_derivatives(geo, k):
     return geo.facet_signs / geo.volume[:, None]
 
 
-def _entity_frames(mesh, k, entity_ids):
-    """Vertex coords, measures and DOF direction vectors of k-entities."""
-    n = mesh.dim
-    verts = mesh.vertices[mesh.simplices[k][entity_ids]]
-    if k == 0:
-        return verts, np.ones(len(entity_ids)), None
-    if k == 1:
-        tan = verts[:, 1] - verts[:, 0]
-        lengths = np.linalg.norm(tan, axis=1)
-        unit = tan / lengths[:, None]
-        if n == 2:
-            # facet role: clockwise-rotated tangent as normal direction
-            direction = np.column_stack([unit[:, 1], -unit[:, 0]])
-        else:
-            direction = unit
-        return verts, lengths, direction
-    if n == 3 and k == 2:
-        cr = np.cross(verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0])
-        areas = 0.5 * np.linalg.norm(cr, axis=1)
-        return verts, areas, cr / (2.0 * areas[:, None])
-    # k == n: cell integral
-    mats = verts[:, 1:] - verts[:, :1]
-    dets = np.abs(np.linalg.det(mats))
-    return verts, dets / math.factorial(n), None
-
-
 def canonical_interpolate(mesh, k, field, degree=4, entities=None):
     """Canonical DOFs of a field: point values, tangential edge
     integrals, normal facet fluxes or cell integrals.
@@ -238,33 +178,26 @@ def canonical_interpolate(mesh, k, field, degree=4, entities=None):
         pts = mesh.vertices[mesh.simplices[0][ids, 0]]
         out[ids] = np.asarray(field(pts), dtype=float)
         return out
-    verts, measures, direction = _entity_frames(mesh, k, ids)
+    verts = mesh.vertices[mesh.simplices[k][ids]]
+    edges = verts[:, 1:] - verts[:, :1]
     ref_pts, ref_wts = reference_simplex_rule(k, degree)
     # physical quadrature points for all entities at once
-    pts = verts[:, 0, None, :] + np.einsum(
-        "qm,emn->eqn", ref_pts, verts[:, 1:] - verts[:, :1]
-    )
-    flat = pts.reshape(-1, n)
-    fvals = np.asarray(field(flat), dtype=float)
-    scale = measures * math.factorial(k)  # ref weights sum to 1/k!
+    pts = verts[:, :1] + np.einsum("qm,emn->eqn", ref_pts, edges)
+    fvals = np.asarray(field(pts.reshape(-1, n)), dtype=float)
+    fvals = fvals.reshape(pts.shape[:2] + (-1,))
+    # the unnormalised pushforward of the reference entity: the tangent
+    # b - a of an edge, rotated clockwise for a 2d facet, (b - a) x (c - a)
+    # of a 3d face and |det| of a cell
     if k == n:
-        fvals = fvals.reshape(len(ids), -1)
-        out[ids] = (fvals @ ref_wts) * scale
+        push = np.abs(np.linalg.det(edges))[:, None]
+    elif n == 2:
+        push = np.column_stack([edges[:, 0, 1], -edges[:, 0, 0]])
+    elif k == 1:
+        push = edges[:, 0]
     else:
-        fvals = fvals.reshape(len(ids), -1, n)
-        comp = np.einsum("eqn,en->eq", fvals, direction)
-        out[ids] = (comp @ ref_wts) * scale
+        push = np.cross(edges[:, 0], edges[:, 1])
+    out[ids] = np.vecdot(fvals, push[:, None]) @ ref_wts
     return out
-
-
-@dataclass
-class LocalFormMatrix:
-    """Dense local form matrix with its provenance."""
-
-    cell: int
-    k: int
-    kind: str
-    matrix: np.ndarray
 
 
 def _lambda_products(n, volume):
@@ -323,15 +256,3 @@ def stiffness_matrices(geo, k):
     if d.ndim == 2:
         d = d[:, :, None]
     return geo.volume[:, None, None] * (d @ d.transpose(0, 2, 1))
-
-
-def local_mass(mesh, cell_id, k):
-    """Local mass matrix (exact, unweighted) of the degree-k space."""
-    matrix = mass_matrices(_geometry(mesh, [cell_id]), k)[0]
-    return LocalFormMatrix(cell_id, k, "mass", matrix)
-
-
-def local_stiffness(mesh, cell_id, k):
-    """Local matrix of (d phi_S, d phi_S') over one cell."""
-    matrix = stiffness_matrices(_geometry(mesh, [cell_id]), k)[0]
-    return LocalFormMatrix(cell_id, k, "stiffness", matrix)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from safefem.mesh import _build_complex, build_unit_cube_mesh, build_unit_square_mesh
-from safefem.quadrature import simplex_measure
+from safefem.quadrature import simplex_measures
 
 
 @pytest.fixture
@@ -16,7 +16,7 @@ def random_simplex(rng, dim, scale=1.0, min_measure=2e-2):
     """Random non-degenerate simplex, vertices (dim+1, dim)."""
     while True:
         verts = rng.uniform(-scale, scale, size=(dim + 1, dim))
-        if simplex_measure(verts) > min_measure * scale**dim:
+        if simplex_measures(verts[None])[0] > min_measure * scale**dim:
             return verts
 
 

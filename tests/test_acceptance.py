@@ -11,28 +11,28 @@ import time
 
 import numpy as np
 
-from safefem.assembly import assemble, local_safe_matrix, local_safe_oracle
+from safefem.assembly import assemble, local_safe_oracle, safe_matrices
 from safefem.exponential import (
+    averaged_coefficients,
     bernoulli1,
     bernoulli2,
     bernoulli3,
-    cell_coefficients,
     local_exp_operators,
 )
 from safefem.mesh import (
     build_unit_cube_mesh,
     build_unit_square_mesh,
-    cell_geometry,
     local_subsimplices,
+    mesh_geometry,
 )
 from safefem.verify import make_case, run_convergence, solve_case, stability_metrics
 from safefem.whitney import (
+    basis_values,
     canonical_interpolate,
     dof_map,
-    eval_basis,
     incidence,
-    local_mass,
-    local_stiffness,
+    mass_matrices,
+    stiffness_matrices,
 )
 
 from conftest import random_cell_mesh, random_simplex, single_cell_mesh
@@ -144,8 +144,7 @@ def test_criterion_5_structure_identities(rng):
     for _ in range(100):
         verts = random_simplex(rng, int(rng.integers(2, 4)))
         dim = verts.shape[1]
-        mesh = single_cell_mesh(verts)
-        geom = cell_geometry(mesh, 0)
+        geom = mesh_geometry(single_cell_mesh(verts))[0]
         g = geom.lambda_grads
         acc = np.zeros((dim, dim))
         for i, j in local_subsimplices(dim, 1):
@@ -187,22 +186,23 @@ def test_criterion_5_structure_identities(rng):
     worst_diag = 0.0
     for dim in (2, 3):
         mesh = random_cell_mesh(rng, dim)
+        geom = mesh_geometry(mesh)[0]
         theta = rng.uniform(-1.0, 1.0, size=dim)
         for k in range(dim - 1):
-            a = local_exp_operators(mesh, 0, k, theta)
-            b = local_exp_operators(mesh, 0, k + 1, theta)
-            comp = b.j_k @ a.j_k
-            scale = max(abs(b.j_k).max() * abs(a.j_k).max(), 1.0)
+            a = local_exp_operators(geom, k, theta)[2]
+            b = local_exp_operators(geom, k + 1, theta)[2]
+            comp = b @ a
+            scale = max(abs(b).max() * abs(a).max(), 1.0)
             worst_jj = max(worst_jj, abs(comp).max() / scale)
         for k in range(dim):
-            ops = local_exp_operators(mesh, 0, k, theta)
+            h_k, h_k1, _ = local_exp_operators(geom, k, theta)
             p = _weighted_interp_matrix(mesh, k, theta)
             worst_diag = max(
-                worst_diag, abs(np.diag(ops.h_k) @ p - np.eye(p.shape[0])).max()
+                worst_diag, abs(np.diag(h_k) @ p - np.eye(p.shape[0])).max()
             )
         p = _weighted_interp_matrix(mesh, dim, theta)
         worst_diag = max(
-            worst_diag, abs(np.diag(ops.h_k1) @ p - np.eye(p.shape[0])).max()
+            worst_diag, abs(np.diag(h_k1) @ p - np.eye(p.shape[0])).max()
         )
     jj_ok = worst_jj <= 1e-12
     diag_ok = worst_diag <= 1e-11
@@ -216,11 +216,12 @@ def test_criterion_5_structure_identities(rng):
 
 
 def _weighted_interp_matrix(mesh, k, theta):
+    geo = mesh_geometry(mesh)
     n_loc = mesh.cell_entities[k].shape[1]
     cols = []
     for j in range(n_loc):
         def field(x, j=j):
-            basis = eval_basis(mesh, 0, k, x).values
+            basis = basis_values(geo, k, x[None], 1e-10)[0]
             weight = np.exp(x @ theta)
             col = basis[:, j] if basis.ndim == 2 else basis[:, j, :]
             return col * weight if col.ndim == 1 else col * weight[:, None]
@@ -234,14 +235,14 @@ def test_criterion_6_kernel_route_matches_operator_route(rng):
     for dim, k in [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]:
         w = 0.0
         for _ in range(100):
-            mesh = random_cell_mesh(rng, dim)
+            geo = mesh_geometry(random_cell_mesh(rng, dim))
             alpha = float(10.0 ** rng.uniform(-2, 2))
             direction = rng.normal(size=dim)
             direction /= np.linalg.norm(direction)
             beta = direction * rng.uniform(0.0, 10.0)
-            coeffs = cell_coefficients(mesh, 0, alpha, const_beta(beta))
-            A = local_safe_matrix(mesh, 0, k, coeffs).matrix
-            B = local_safe_oracle(mesh, 0, k, coeffs).matrix
+            a, b = averaged_coefficients(geo, alpha, const_beta(beta), 4)
+            A = safe_matrices(geo, k, a, b)[0]
+            B = local_safe_oracle(geo, k, a[0], b[0] / a[0])
             w = max(w, abs(A - B).max() / max(abs(A).max(), abs(B).max(), 1e-30))
         worst[(dim, k)] = w
     ok = all(w <= 1e-9 for w in worst.values())
@@ -269,11 +270,12 @@ def test_criterion_7_zero_drift_degeneration(rng):
         dm = dof_map(mesh, k)
         import scipy.sparse as sp
 
+        geo = mesh_geometry(mesh)
         ref = sp.lil_matrix(A.shape)
         for cid in range(mesh.num_cells):
             loc = (
-                alpha * local_stiffness(mesh, cid, k).matrix
-                + gamma * local_mass(mesh, cid, k).matrix
+                alpha * stiffness_matrices(geo[[cid]], k)[0]
+                + gamma * mass_matrices(geo[[cid]], k)[0]
             )
             dofs = dm.cell_dofs[cid]
             ref[np.ix_(dofs, dofs)] += loc
@@ -287,8 +289,9 @@ def test_criterion_7_zero_drift_degeneration(rng):
     mesh = build_unit_square_mesh(4)
     A = assemble(mesh, 0, alpha2, const_beta(beta2)).matrix.toarray()
     ref = np.zeros_like(A)
+    geo = mesh_geometry(mesh)
     for cid in range(mesh.num_cells):
-        geom = cell_geometry(mesh, cid)
+        geom = geo[cid]
         cell = mesh.cells[cid]
         for li, lj in local_subsimplices(2, 1):
             i, j = cell[li], cell[lj]

@@ -8,25 +8,26 @@ import pytest
 import scipy.sparse as sp
 
 from safefem.assembly import (
+    _FACE_PAIRS,
+    _edge_weights,
     apply_essential_bc,
     assemble,
     assemble_load,
-    graph_weights,
-    local_safe_matrix,
     local_safe_oracle,
+    safe_matrices,
 )
-from safefem.exponential import cell_coefficients
+from safefem.exponential import averaged_coefficients, local_exp_operators
 from safefem.mesh import (
     build_unit_cube_mesh,
     build_unit_square_mesh,
-    cell_geometry,
     local_subsimplices,
+    mesh_geometry,
 )
 from safefem.whitney import (
     dof_map,
     local_incidence,
-    local_mass,
-    local_stiffness,
+    mass_matrices,
+    stiffness_matrices,
 )
 
 from conftest import random_cell_mesh, random_simplex, single_cell_mesh
@@ -39,22 +40,35 @@ def const_beta(vec):
     return lambda x: np.tile(vec, (len(x), 1))
 
 
-def coeffs_for(mesh, cid, alpha, beta_vec):
-    return cell_coefficients(mesh, cid, alpha, const_beta(beta_vec))
+def coeffs_for(geo, alpha, beta_vec):
+    """(alpha_bar, beta_bar) of the cells of ``geo`` for a constant drift."""
+    return averaged_coefficients(geo, alpha, const_beta(beta_vec), 4)
+
+
+def safe_matrix(geo, k, alpha, beta_vec):
+    """Local matrix of the one-cell block ``geo``."""
+    return safe_matrices(geo, k, *coeffs_for(geo, alpha, beta_vec))[0]
+
+
+def face_pair_table(geo):
+    """omega_FF' of the one-cell block ``geo`` as a (4, 4) face table."""
+    omega = _edge_weights(geo, 1)[0]
+    W = np.zeros((4, 4))
+    for a, b, e, *_ in _FACE_PAIRS:
+        W[a, b] = omega[e]
+    return W
 
 
 def test_graph_weights_reference_triangle():
     mesh = single_cell_mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    gw = graph_weights(mesh, 0, 0)
-    np.testing.assert_allclose(gw.edge, [0.5, 0.5, 0.0], atol=1e-14)
-    top = graph_weights(mesh, 0, 1)
-    assert top.top == pytest.approx(2.0, rel=1e-14)
+    geo = mesh_geometry(mesh)
+    np.testing.assert_allclose(_edge_weights(geo, 0)[0], [0.5, 0.5, 0.0], atol=1e-14)
+    # the facet degree's cell weight 1/|T|
+    assert 1.0 / geo.volume[0] == pytest.approx(2.0, rel=1e-14)
 
 
 def test_graph_weights_face_pairs(rng):
-    mesh = random_cell_mesh(rng, 3)
-    gw = graph_weights(mesh, 0, 1)
-    W = gw.face_pair
+    W = face_pair_table(mesh_geometry(random_cell_mesh(rng, 3)))
     np.testing.assert_allclose(W, W.T, atol=1e-14)
     np.testing.assert_allclose(np.diag(W), 0.0)
 
@@ -64,11 +78,10 @@ def test_edge_weight_identity(rng):
     for dim in (2, 3):
         for _ in range(100):
             verts = random_simplex(rng, dim)
-            mesh = single_cell_mesh(verts)
-            geom = cell_geometry(mesh, 0)
-            gw = graph_weights(mesh, 0, 0)
+            geo = mesh_geometry(single_cell_mesh(verts))
+            geom = geo[0]
             acc = np.zeros((dim, dim))
-            for w, (i, j) in zip(gw.edge, local_subsimplices(dim, 1)):
+            for w, (i, j) in zip(_edge_weights(geo, 0)[0], local_subsimplices(dim, 1)):
                 t = geom.tangents[i, j]
                 acc += w * np.outer(t, t) / geom.volume
             np.testing.assert_allclose(acc, np.eye(dim), atol=1e-12)
@@ -79,9 +92,9 @@ def test_face_pair_weight_identity(rng):
     # resolves the identity (3d edge degree)
     for _ in range(100):
         verts = random_simplex(rng, 3)
-        mesh = single_cell_mesh(verts)
-        geom = cell_geometry(mesh, 0)
-        W = graph_weights(mesh, 0, 1).face_pair
+        geo = mesh_geometry(single_cell_mesh(verts))
+        geom = geo[0]
+        W = face_pair_table(geo)
         signs = geom.facet_signs
         acc = np.zeros((3, 3))
         for a in range(4):
@@ -98,11 +111,10 @@ def test_zero_drift_reduces_to_stiffness(rng):
     # with no drift the averaged matrix is exactly alpha_bar times the
     # stiffness matrix, all species
     for dim, k in CONVECTIVE_SPECIES:
-        mesh = random_cell_mesh(rng, dim)
+        geo = mesh_geometry(random_cell_mesh(rng, dim))
         alpha = 0.37
-        coeffs = coeffs_for(mesh, 0, alpha, np.zeros(dim))
-        A = local_safe_matrix(mesh, 0, k, coeffs).matrix
-        K = local_stiffness(mesh, 0, k).matrix
+        A = safe_matrix(geo, k, alpha, np.zeros(dim))
+        K = stiffness_matrices(geo, k)[0]
         np.testing.assert_allclose(A, alpha * K, atol=1e-13 * max(1.0, abs(K).max()))
 
 
@@ -111,13 +123,13 @@ def test_matches_operator_route(rng):
     # from the conjugated difference operators and averaged projections
     for dim, k in CONVECTIVE_SPECIES:
         for _ in range(100):
-            mesh = random_cell_mesh(rng, dim)
+            geo = mesh_geometry(random_cell_mesh(rng, dim))
             alpha = float(10.0 ** rng.uniform(-2, 2))
             beta = rng.uniform(-1.0, 1.0, size=dim)
             beta *= rng.uniform(0.0, 10.0) / max(np.linalg.norm(beta), 1e-12)
-            coeffs = coeffs_for(mesh, 0, alpha, beta)
-            A = local_safe_matrix(mesh, 0, k, coeffs).matrix
-            B = local_safe_oracle(mesh, 0, k, coeffs).matrix
+            alpha_bar, beta_bar = coeffs_for(geo, alpha, beta)
+            A = safe_matrices(geo, k, alpha_bar, beta_bar)[0]
+            B = local_safe_oracle(geo, k, alpha_bar[0], beta_bar[0] / alpha_bar[0])
             scale = max(abs(A).max(), abs(B).max(), 1e-30)
             assert abs(A - B).max() / scale < 1e-9
 
@@ -134,8 +146,9 @@ def test_matches_independent_eafe_formula():
 
     n = mesh.num_entities(0)
     ref = np.zeros((n, n))
+    geo = mesh_geometry(mesh)
     for cid in range(mesh.num_cells):
-        geom = cell_geometry(mesh, cid)
+        geom = geo[cid]
         cell = mesh.cells[cid]
         for li, lj in local_subsimplices(2, 1):
             i, j = cell[li], cell[lj]
@@ -153,22 +166,19 @@ def test_annihilates_weighted_difference_kernel(rng):
     # nullspace of the local incidence, the discrete counterpart of
     # exponential-weighted gradient-free fields
     for dim, k in CONVECTIVE_SPECIES:
-        mesh = random_cell_mesh(rng, dim)
+        geo = mesh_geometry(random_cell_mesh(rng, dim))
         alpha = 0.8
         beta = rng.uniform(-2.0, 2.0, size=dim)
-        coeffs = coeffs_for(mesh, 0, alpha, beta)
-        A = local_safe_matrix(mesh, 0, k, coeffs).matrix
+        alpha_bar, beta_bar = coeffs_for(geo, alpha, beta)
+        A = safe_matrices(geo, k, alpha_bar, beta_bar)[0]
 
-        from safefem.exponential import local_exp_operators
-
-        geom = cell_geometry(mesh, 0)
-        D = local_incidence(geom, k).astype(float)
-        ops = local_exp_operators(mesh, 0, k, coeffs.theta_bar)
+        D = local_incidence(geo[0], k).astype(float)
+        h_k = local_exp_operators(geo[0], k, beta_bar[0] / alpha_bar[0])[0]
         _, s, vt = np.linalg.svd(D)
         rank = int((s > 1e-12 * s.max()).sum())
         null = vt[rank:]
         for z in null:
-            u = ops.h_k * z
+            u = h_k * z
             assert abs(A @ u).max() <= 1e-11 * max(abs(A).max() * abs(u).max(), 1.0)
 
 
@@ -207,11 +217,13 @@ def test_global_zero_drift_is_stiffness_plus_mass(rng):
         dim = mesh.dim
         A = assemble(mesh, k, alpha, const_beta(np.zeros(dim)), gamma=gamma).matrix
         dm = dof_map(mesh, k)
+        geo = mesh_geometry(mesh)
         ref = sp.lil_matrix((dm.num_dofs, dm.num_dofs))
         for cid in range(mesh.num_cells):
+            # one-cell blocks, the closed forms cell by cell
             loc = (
-                alpha * local_stiffness(mesh, cid, k).matrix
-                + gamma * local_mass(mesh, cid, k).matrix
+                alpha * stiffness_matrices(geo[[cid]], k)[0]
+                + gamma * mass_matrices(geo[[cid]], k)[0]
             )
             dofs = dm.cell_dofs[cid]
             ref[np.ix_(dofs, dofs)] += loc
@@ -244,8 +256,7 @@ def test_upwind_limit_matches_kernel_limits(rng):
     mesh = random_cell_mesh(rng, 2)
     beta = np.array([3.0, 1.0])
     A0 = assemble(mesh, 1, 0, const_beta(beta)).matrix.toarray()
-    coeffs = coeffs_for(mesh, 0, 0, beta)
-    loc = local_safe_matrix(mesh, 0, 1, coeffs).matrix
+    loc = safe_matrix(mesh_geometry(mesh), 1, 0, beta)
     dm = dof_map(mesh, 1)
     ref = np.zeros_like(A0)
     ref[np.ix_(dm.cell_dofs[0], dm.cell_dofs[0])] = loc
@@ -272,8 +283,9 @@ def test_load_facet_constant_field():
     rhs = assemble_load(mesh, 1, const_beta(c))
     dm = dof_map(mesh, 1)
     ref = np.zeros(dm.num_dofs)
+    geo = mesh_geometry(mesh)
     for cid in range(mesh.num_cells):
-        geom = cell_geometry(mesh, cid)
+        geom = geo[cid]
         signs = geom.facet_signs
         for slot, loc in enumerate(local_subsimplices(2, 1)):
             opp = next(v for v in range(3) if v not in loc)
@@ -369,7 +381,7 @@ def test_assemble_rejects_nonfinite_gamma():
         for gamma in (math.nan, math.inf):
             with pytest.raises(ValueError, match=r"gamma is not finite on cell 0\b"):
                 assemble(mesh, k, 1.0, beta, gamma)
-        xc = cell_geometry(mesh, 5).barycenter
+        xc = mesh_geometry(mesh)[5].barycenter
         gamma = lambda x: np.where(np.linalg.norm(x - xc, axis=1) < 0.1, np.nan, 1.0)
         with pytest.raises(ValueError, match=r"gamma is not finite on cell 5\b"):
             assemble(mesh, k, 1.0, beta, gamma)

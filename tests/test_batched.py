@@ -1,25 +1,27 @@
 """The whole-mesh routes of assemble, assemble_load and error_norms
-against per-cell references written out here: local_safe_matrix with
-cell_coefficients, local_mass, and simplex_rule plus eval_basis loops.
-Loads and error norms interpolate the basis from its values at the cell
-vertices; that the basis is affine on each cell is checked here too."""
+against per-cell references written out here: loops over the cells that
+call the local routines (safe_matrices with averaged_coefficients,
+mass_matrices, and basis_values at the points of simplex_rules) on the
+one-cell block ``mesh_geometry(mesh)[[c]]`` and scatter or sum the
+results.  Loads and error norms interpolate the basis from its values at
+the cell vertices; that the basis is affine on each cell is checked here
+too."""
 
 import numpy as np
 import pytest
 
-from conftest import jittered_mesh
-from safefem.assembly import assemble, assemble_load, local_safe_matrix
-from safefem.exponential import cell_coefficients
+from conftest import jittered_mesh, single_cell_mesh
+from safefem.assembly import assemble, assemble_load, safe_matrices
+from safefem.exponential import averaged_coefficients
 from safefem.mesh import (
     build_unit_cube_mesh,
     build_unit_square_mesh,
     cell_blocks,
-    cell_geometry,
     mesh_geometry,
 )
-from safefem.quadrature import reference_simplex_rule, simplex_rule
+from safefem.quadrature import reference_simplex_rule, simplex_rules
 from safefem.verify import error_norms
-from safefem.whitney import basis_values, dof_map, eval_basis, local_mass
+from safefem.whitney import basis_derivatives, basis_values, dof_map, mass_matrices
 
 CONVECTIVE_SPECIES = [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
 ALL_SPECIES = [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3)]
@@ -49,23 +51,33 @@ def vector_field(x):
     return np.column_stack([np.sin(3.0 * x[:, 0] + x[:, i]) for i in range(x.shape[1])])
 
 
+def cells(mesh):
+    """The one-cell blocks of the mesh with their cell ids."""
+    geo = mesh_geometry(mesh)
+    return ((cid, geo[[cid]]) for cid in range(mesh.num_cells))
+
+
+def cell_rule(cell, k):
+    """Degree-4 quadrature points and weights of a one-cell block with the
+    basis values there, refusing points outside the cell."""
+    pts, wts = (a[0] for a in simplex_rules(cell.vertices, 4))
+    return pts, wts, basis_values(cell, k, pts[None], 1e-10)[0]
+
+
 def per_cell_matrix(mesh, k, alpha, beta, gamma):
     dm = dof_map(mesh, k)
     ref = np.zeros((dm.num_dofs, dm.num_dofs))
-    for cid in range(mesh.num_cells):
-        geom = cell_geometry(mesh, cid)
-        coeffs = cell_coefficients(mesh, cid, alpha, beta)
-        loc = local_safe_matrix(mesh, cid, k, coeffs).matrix
+    for cid, cell in cells(mesh):
+        loc = safe_matrices(cell, k, *averaged_coefficients(cell, alpha, beta, 4))[0]
         if callable(gamma):
-            pts, wts = simplex_rule(geom.vertices, 4)
-            vals = eval_basis(mesh, cid, k, pts).values
+            pts, wts, vals = cell_rule(cell, k)
             gw = gamma(pts) * wts
             if vals.ndim == 2:
                 loc = loc + np.einsum("q,qa,qb->ab", gw, vals, vals)
             else:
                 loc = loc + np.einsum("q,qad,qbd->ab", gw, vals, vals)
         else:
-            loc = loc + gamma * local_mass(mesh, cid, k).matrix
+            loc = loc + gamma * mass_matrices(cell, k)[0]
         dofs = dm.cell_dofs[cid]
         ref[np.ix_(dofs, dofs)] += loc
     return ref
@@ -74,9 +86,8 @@ def per_cell_matrix(mesh, k, alpha, beta, gamma):
 def per_cell_load(mesh, k, f):
     dm = dof_map(mesh, k)
     rhs = np.zeros(dm.num_dofs)
-    for cid in range(mesh.num_cells):
-        pts, wts = simplex_rule(cell_geometry(mesh, cid).vertices, 4)
-        vals = eval_basis(mesh, cid, k, pts).values
+    for cid, cell in cells(mesh):
+        pts, wts, vals = cell_rule(cell, k)
         fw = f(pts) * (wts if vals.ndim == 2 else wts[:, None])
         spec = "q,qa->a" if vals.ndim == 2 else "qd,qad->a"
         rhs[dm.cell_dofs[cid]] += np.einsum(spec, fw, vals)
@@ -86,16 +97,15 @@ def per_cell_load(mesh, k, f):
 def per_cell_error_norms(mesh, k, u_h, u_exact, du_exact):
     dm = dof_map(mesh, k)
     acc_l2 = acc_d = 0.0
-    for cid in range(mesh.num_cells):
-        pts, wts = simplex_rule(cell_geometry(mesh, cid).vertices, 4)
-        basis = eval_basis(mesh, cid, k, pts)
+    for cid, cell in cells(mesh):
+        pts, wts, vals = cell_rule(cell, k)
         coefs = u_h[dm.cell_dofs[cid]]
-        if basis.values.ndim == 2:
-            err = basis.values @ coefs - u_exact(pts)
+        if vals.ndim == 2:
+            err = vals @ coefs - u_exact(pts)
         else:
-            err = np.einsum("qad,a->qd", basis.values, coefs) - u_exact(pts)
+            err = np.einsum("qad,a->qd", vals, coefs) - u_exact(pts)
         acc_l2 += wts @ (err**2 if err.ndim == 1 else np.sum(err**2, axis=1))
-        d = basis.d_values
+        d = basis_derivatives(cell, k)[0]
         if d.ndim == 2 and d.shape[1] > 1:
             derr = (d.T @ coefs)[None, :] - du_exact(pts)
             acc_d += wts @ np.sum(derr**2, axis=1)
@@ -166,7 +176,7 @@ def degenerate_mesh(dim):
     first = None
     for c in range(mesh.num_cells):
         try:
-            cell_geometry(mesh, c)
+            mesh_geometry(single_cell_mesh(mesh.vertices[mesh.cells[c]]))
         except ValueError:
             first = c
             break
@@ -194,7 +204,7 @@ def test_degenerate_cell_is_named(dim, k):
 def test_nonpositive_callable_alpha_is_named(dim, k):
     mesh = build_unit_square_mesh(4) if dim == 2 else build_unit_cube_mesh(2)
     cid = mesh.num_cells - 3
-    xc = cell_geometry(mesh, cid).barycenter
+    xc = mesh_geometry(mesh)[cid].barycenter
     for bad in (-1.0, np.nan):
 
         def alpha(x):

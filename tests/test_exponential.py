@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from mpmath import exp as mp_exp
 from mpmath import expm1, factorial, mpf, quad, workdps
 
+from safefem.assembly import local_safe_oracle
 from safefem.exponential import (
     _LIMIT_GUARD,
     _SERIES_SPREAD,
@@ -30,14 +31,13 @@ from safefem.exponential import (
     bernoulli1,
     bernoulli2,
     bernoulli3,
-    cell_coefficients,
+    averaged_coefficients,
     exp_average,
-    harmonic_average,
     local_exp_operators,
 )
-from safefem.mesh import build_unit_square_mesh, cell_geometry
-from safefem.quadrature import simplex_rule
-from safefem.whitney import eval_basis, local_incidence
+from safefem.mesh import build_unit_square_mesh, mesh_geometry
+from safefem.quadrature import simplex_rules
+from safefem.whitney import basis_values, local_incidence
 
 from conftest import random_cell_mesh, random_simplex
 
@@ -466,7 +466,7 @@ def test_exp_average_matches_quadrature(rng):
     for dim in (2, 3):
         verts = random_simplex(rng, dim)
         theta = rng.uniform(-3.0, 3.0, size=dim)
-        pts, wts = simplex_rule(verts, 18)
+        pts, wts = (a[0] for a in simplex_rules(verts[None], 18))
         ref = (wts @ np.exp(pts @ theta)) / wts.sum()
         assert exp_average(verts, theta) == pytest.approx(ref, rel=1e-12)
 
@@ -487,77 +487,79 @@ def test_exp_average_translation_factor(sx, sy):
 
 
 def test_harmonic_average_links_to_b1():
-    # on an edge with tail a_i, eps * harmonic average of e^{theta.(x-a_i)}
-    # is exactly B1 of the drift across the edge
+    # on an edge with tail a_i, the harmonic-type average
+    # eps / avg(e^{theta.(x-a_i)}) is exactly B1 of the drift across the edge
     verts = np.array([[0.3, -0.2], [1.1, 0.7]])
     theta = np.array([2.0, 1.0])
     alpha_bar = 0.7
     tangent = verts[1] - verts[0]
     expected = bernoulli1(alpha_bar, alpha_bar * (theta @ tangent))
-    got = harmonic_average(verts, alpha_bar, theta) * math.exp(theta @ verts[0])
+    got = alpha_bar / exp_average(verts, theta) * math.exp(theta @ verts[0])
     assert got == pytest.approx(expected, rel=1e-13)
 
 
 def test_cell_coefficients_constant():
-    mesh = build_unit_square_mesh(2)
+    geo = mesh_geometry(build_unit_square_mesh(2))[[0]]
     beta = np.array([1.0, 2.0])
-    coeffs = cell_coefficients(mesh, 0, 2.0, lambda x: np.tile(beta, (len(x), 1)))
-    assert coeffs.alpha_bar == pytest.approx(2.0, rel=1e-14)
-    assert coeffs.theta_bar == pytest.approx(beta / 2.0, rel=1e-13)
-    assert coeffs.beta_bar == pytest.approx(beta, rel=1e-13)
+    const = lambda x: np.tile(beta, (len(x), 1))
+    alpha_bar, beta_bar = averaged_coefficients(geo, 2.0, const, 4)
+    assert alpha_bar[0] == pytest.approx(2.0, rel=1e-14)
+    # the fitted direction theta_bar
+    assert beta_bar[0] / alpha_bar[0] == pytest.approx(beta / 2.0, rel=1e-13)
+    assert beta_bar[0] == pytest.approx(beta, rel=1e-13)
 
 
 def test_cell_coefficients_variable_alpha():
-    mesh = build_unit_square_mesh(1)
-    geom = cell_geometry(mesh, 0)
-    pts, wts = simplex_rule(geom.vertices, 6)
+    geo = mesh_geometry(build_unit_square_mesh(1))[[0]]
+    pts, wts = (a[0] for a in simplex_rules(geo.vertices, 6))
     alpha = lambda x: 1.0 + x[:, 0] ** 2
     ref = (wts @ alpha(pts)) / wts.sum()
-    coeffs = cell_coefficients(mesh, 0, alpha, lambda x: np.zeros_like(x))
-    assert coeffs.alpha_bar == pytest.approx(ref, rel=1e-12)
+    alpha_bar, _ = averaged_coefficients(geo, alpha, lambda x: np.zeros_like(x), 4)
+    assert alpha_bar[0] == pytest.approx(ref, rel=1e-12)
 
 
 def test_cell_coefficients_rejects_nonpositive_alpha():
-    mesh = build_unit_square_mesh(1)
+    geo = mesh_geometry(build_unit_square_mesh(1))[[0]]
     beta = lambda x: np.zeros_like(x)
     with pytest.raises(ValueError):
-        cell_coefficients(mesh, 0, -1.0, beta)
+        averaged_coefficients(geo, -1.0, beta, 4)
     with pytest.raises(ValueError):
-        cell_coefficients(mesh, 0, lambda x: x[:, 0] - 10.0, beta)
+        averaged_coefficients(geo, lambda x: x[:, 0] - 10.0, beta, 4)
     with pytest.raises(ValueError):
-        cell_coefficients(mesh, 0, math.nan, beta)
+        averaged_coefficients(geo, math.nan, beta, 4)
 
 
 def test_cell_coefficients_zero_alpha_is_upwind_limit():
     # a cell where alpha vanishes at the barycenter carries the
-    # barycentric drift unscaled and no fitted direction
-    mesh = build_unit_square_mesh(1)
-    xc = cell_geometry(mesh, 0).barycenter
+    # barycentric drift unscaled and no fitted direction, which the
+    # operator route refuses
+    geo = mesh_geometry(build_unit_square_mesh(1))[[0]]
+    xc = geo.barycenter[0]
     beta = lambda x: np.column_stack([1.0 + x[:, 0], -x[:, 1]])
     for alpha in (0, 0.0, lambda x: (x[:, 0] - xc[0]) ** 2):
-        coeffs = cell_coefficients(mesh, 0, alpha, beta)
-        assert coeffs.alpha_bar == 0.0
-        assert coeffs.theta_bar is None
-        np.testing.assert_array_equal(coeffs.beta_bar, beta(xc[None])[0])
+        alpha_bar, beta_bar = averaged_coefficients(geo, alpha, beta, 4)
+        assert alpha_bar[0] == 0.0
+        with pytest.raises(ValueError, match="alpha_bar > 0"):
+            local_safe_oracle(geo, 0, alpha_bar[0], beta_bar[0])
+        np.testing.assert_array_equal(beta_bar[0], beta(xc[None])[0])
 
 
 def test_exp_operators_zero_drift_reduce_to_incidence(rng):
     for dim, k in [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]:
-        mesh = random_cell_mesh(rng, dim)
-        ops = local_exp_operators(mesh, 0, k, np.zeros(dim))
-        geom = cell_geometry(mesh, 0)
-        np.testing.assert_allclose(ops.j_k, local_incidence(geom, k), atol=1e-14)
-        np.testing.assert_allclose(ops.h_k, np.ones_like(ops.h_k), rtol=1e-14)
+        geom = mesh_geometry(random_cell_mesh(rng, dim))[0]
+        h_k, _, j_k = local_exp_operators(geom, k, np.zeros(dim))
+        np.testing.assert_allclose(j_k, local_incidence(geom, k), atol=1e-14)
+        np.testing.assert_allclose(h_k, np.ones_like(h_k), rtol=1e-14)
 
 
 def test_exp_operators_compose_to_zero(rng):
     for dim, k in [(2, 0), (3, 0), (3, 1)]:
-        mesh = random_cell_mesh(rng, dim)
+        geom = mesh_geometry(random_cell_mesh(rng, dim))[0]
         theta = rng.uniform(-4.0, 4.0, size=dim)
-        a = local_exp_operators(mesh, 0, k, theta)
-        b = local_exp_operators(mesh, 0, k + 1, theta)
-        comp = b.j_k @ a.j_k
-        scale = max(np.abs(b.j_k).max() * np.abs(a.j_k).max(), 1.0)
+        a = local_exp_operators(geom, k, theta)[2]
+        b = local_exp_operators(geom, k + 1, theta)[2]
+        comp = b @ a
+        scale = max(np.abs(b).max() * np.abs(a).max(), 1.0)
         assert np.abs(comp).max() <= 1e-12 * scale
 
 
@@ -566,17 +568,18 @@ def test_exp_operators_weighted_interpolation_inverse(rng):
     # exponentially weighted basis, entity by entity
     for dim in (2, 3):
         mesh = random_cell_mesh(rng, dim)
+        geom = mesh_geometry(mesh)[0]
         theta = rng.uniform(-1.0, 1.0, size=dim)
         for k in range(dim):
-            ops = local_exp_operators(mesh, 0, k, theta)
+            h_k, h_k1, _ = local_exp_operators(geom, k, theta)
             p = _weighted_interp_matrix(mesh, k, theta)
             np.testing.assert_allclose(
-                np.diag(ops.h_k) @ p, np.eye(p.shape[0]), atol=1e-11
+                np.diag(h_k) @ p, np.eye(p.shape[0]), atol=1e-11
             )
         # top degree comes out as the h_k1 diagonal of the last level
         p = _weighted_interp_matrix(mesh, dim, theta)
         np.testing.assert_allclose(
-            np.diag(ops.h_k1) @ p, np.eye(p.shape[0]), atol=1e-11
+            np.diag(h_k1) @ p, np.eye(p.shape[0]), atol=1e-11
         )
 
 
@@ -584,11 +587,12 @@ def _weighted_interp_matrix(mesh, k, theta):
     """P[S, S'] = canonical DOF on S of e^{theta.x} times basis function S'."""
     from safefem.whitney import canonical_interpolate
 
+    geo = mesh_geometry(mesh)
     n_loc = mesh.cell_entities[k].shape[1]
     cols = []
     for j in range(n_loc):
         def field(x, j=j):
-            basis = eval_basis(mesh, 0, k, x).values
+            basis = basis_values(geo, k, x[None], 1e-10)[0]
             weight = np.exp(x @ theta)
             col = basis[:, j] if basis.ndim == 2 else basis[:, j, :]
             return col * weight if col.ndim == 1 else col * weight[:, None]

@@ -11,12 +11,11 @@ from safefem.mesh import (
     _build_complex,
     build_unit_cube_mesh,
     build_unit_square_mesh,
-    cell_geometry,
-    entity_vertices,
     local_subsimplices,
+    mesh_geometry,
     save_vtk,
 )
-from safefem.quadrature import simplex_measure
+from safefem.quadrature import simplex_measures
 
 from conftest import random_simplex, single_cell_mesh
 
@@ -43,7 +42,7 @@ def test_square_mesh_scaling(n):
     assert mesh.num_cells == 2 * n * n
     assert mesh.num_entities(0) == (n + 1) ** 2
     assert mesh.boundary[1].sum() == 4 * n
-    vols = [cell_geometry(mesh, c).volume for c in range(mesh.num_cells)]
+    vols = mesh_geometry(mesh).volume
     assert sum(vols) == pytest.approx(1.0, rel=1e-13)
     assert min(vols) == pytest.approx(max(vols), rel=1e-13)
 
@@ -162,7 +161,7 @@ def test_cube_mesh_counts():
 
 def test_cube_mesh_volumes():
     mesh = build_unit_cube_mesh(2)
-    vols = np.array([cell_geometry(mesh, c).volume for c in range(mesh.num_cells)])
+    vols = mesh_geometry(mesh).volume
     assert vols.sum() == pytest.approx(1.0, rel=1e-13)
     np.testing.assert_allclose(vols, 1.0 / (6 * 8), rtol=1e-13)
 
@@ -197,9 +196,10 @@ def test_cell_entities_consistent():
 
 def test_cell_geometry_identities(rng):
     for dim in (2, 3):
-        mesh = single_cell_mesh(random_simplex(rng, dim))
-        geom = cell_geometry(mesh, 0)
-        assert geom.volume == pytest.approx(simplex_measure(geom.vertices), rel=1e-13)
+        geo = mesh_geometry(single_cell_mesh(random_simplex(rng, dim)))
+        geom = geo[0]
+        measure = simplex_measures(geo.vertices)[0]
+        assert geom.volume == pytest.approx(measure, rel=1e-13)
         # barycentric gradients pair with tangent vectors as increments
         for i in range(dim + 1):
             for j in range(dim + 1):
@@ -215,8 +215,7 @@ def test_cell_geometry_identities(rng):
 
 def test_facet_normals_outward_and_unit(rng):
     for dim in (2, 3):
-        mesh = single_cell_mesh(random_simplex(rng, dim))
-        geom = cell_geometry(mesh, 0)
+        geom = mesh_geometry(single_cell_mesh(random_simplex(rng, dim)))[0]
         locs = local_subsimplices(dim, dim - 1)
         for slot, loc in enumerate(locs):
             nvec = geom.facet_normals[slot]
@@ -229,15 +228,15 @@ def test_facet_normals_outward_and_unit(rng):
         for slot, loc in enumerate(locs):
             fverts = geom.vertices[list(loc)]
             assert geom.facet_measures[slot] == pytest.approx(
-                simplex_measure(fverts), rel=1e-12
+                simplex_measures(fverts[None])[0], rel=1e-12
             )
 
 
 def test_degenerate_cell_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     mesh = single_cell_mesh(verts)
-    with pytest.raises(ValueError):
-        cell_geometry(mesh, 0)
+    with pytest.raises(ValueError, match=r"degenerate cell 0\b"):
+        mesh_geometry(mesh)
 
 
 def test_non_manifold_rejected():
@@ -248,14 +247,6 @@ def test_non_manifold_rejected():
     cells = np.array([[0, 1, 2], [1, 2, 3], [1, 2, 4]])
     with pytest.raises(ValueError):
         _build_complex(2, verts, cells)
-
-
-def test_entity_vertices():
-    mesh = build_unit_square_mesh(1)
-    edge = mesh.simplices[1][2]
-    np.testing.assert_allclose(
-        entity_vertices(mesh, 1, 2), mesh.vertices[edge]
-    )
 
 
 def test_save_vtk(tmp_path):

@@ -8,8 +8,8 @@ import pytest
 from safefem.quadrature import (
     gauss_legendre_01,
     reference_simplex_rule,
-    simplex_measure,
-    simplex_rule,
+    simplex_measures,
+    simplex_rules,
 )
 
 from conftest import random_simplex
@@ -59,21 +59,26 @@ def _simplex_monomial_integral(powers):
     return num / math.factorial(sum(powers) + len(powers))
 
 
+def measure(vertices):
+    """Measure of one simplex, vertices (m+1, n)."""
+    return simplex_measures(vertices[None])[0]
+
+
 def test_simplex_measure():
     tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert simplex_measure(tri) == pytest.approx(0.5, rel=1e-14)
+    assert measure(tri) == pytest.approx(0.5, rel=1e-14)
     tet = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    assert simplex_measure(tet) == pytest.approx(1.0 / 6.0, rel=1e-14)
+    assert measure(tet) == pytest.approx(1.0 / 6.0, rel=1e-14)
     edge3d = np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
-    assert simplex_measure(edge3d) == pytest.approx(5.0, rel=1e-14)
+    assert measure(edge3d) == pytest.approx(5.0, rel=1e-14)
 
 
 def test_physical_rule(rng):
     verts = random_simplex(rng, 2)
-    pts, wts = simplex_rule(verts, 3)
-    assert wts.sum() == pytest.approx(simplex_measure(verts), rel=1e-13)
+    pts, wts = (a[0] for a in simplex_rules(verts[None], 3))
+    assert wts.sum() == pytest.approx(measure(verts), rel=1e-13)
     # exactness for an affine integrand
     f = lambda x: 2.0 + 3.0 * x[:, 0] - x[:, 1]
     centroid = verts.mean(axis=0)
-    exact = simplex_measure(verts) * (2.0 + 3.0 * centroid[0] - centroid[1])
+    exact = measure(verts) * (2.0 + 3.0 * centroid[0] - centroid[1])
     assert wts @ f(pts) == pytest.approx(exact, rel=1e-13)

@@ -9,19 +9,19 @@ from safefem.mesh import (
     DIAG_UL_LR,
     build_unit_cube_mesh,
     build_unit_square_mesh,
-    cell_geometry,
     local_subsimplices,
+    mesh_geometry,
 )
-from safefem.quadrature import simplex_rule
+from safefem.quadrature import simplex_rules
 from safefem.whitney import (
+    basis_derivatives,
+    basis_values,
     canonical_interpolate,
     dof_map,
-    eval_basis,
     incidence,
     local_incidence,
-    local_mass,
-    local_stiffness,
-    num_local_dofs,
+    mass_matrices,
+    stiffness_matrices,
 )
 
 from conftest import random_cell_mesh, single_cell_mesh
@@ -29,9 +29,15 @@ from conftest import random_cell_mesh, single_cell_mesh
 SPECIES = [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3)]
 
 
+def cell_basis(geo, k, x):
+    """Basis of the one-cell block ``geo`` at the points ``x`` (npts, n),
+    refusing points outside the cell."""
+    return basis_values(geo, k, x[None], 1e-10)[0]
+
+
 def test_num_local_dofs():
-    assert [num_local_dofs(2, k) for k in range(3)] == [3, 3, 1]
-    assert [num_local_dofs(3, k) for k in range(4)] == [4, 6, 4, 1]
+    assert [len(local_subsimplices(2, k)) for k in range(3)] == [3, 3, 1]
+    assert [len(local_subsimplices(3, k)) for k in range(4)] == [4, 6, 4, 1]
 
 
 def test_dof_map_shapes():
@@ -39,14 +45,13 @@ def test_dof_map_shapes():
     for k in range(4):
         dm = dof_map(mesh, k)
         assert dm.num_dofs == mesh.num_entities(k)
-        assert dm.cell_dofs.shape == (mesh.num_cells, num_local_dofs(3, k))
+        assert dm.cell_dofs.shape == (mesh.num_cells, len(local_subsimplices(3, k)))
         assert dm.boundary.shape == (dm.num_dofs,)
 
 
 def test_facet_outward_signs(rng):
     for dim in (2, 3):
-        mesh = random_cell_mesh(rng, dim)
-        geom = cell_geometry(mesh, 0)
+        geom = mesh_geometry(random_cell_mesh(rng, dim))[0]
         signs = geom.facet_signs
         locs = local_subsimplices(dim, dim - 1)
         for slot, loc in enumerate(locs):
@@ -59,10 +64,11 @@ def test_kronecker_dofs(rng):
     # canonical DOFs of the basis functions form the identity
     for dim, k in SPECIES:
         mesh = random_cell_mesh(rng, dim)
-        nloc = num_local_dofs(dim, k)
+        geo = mesh_geometry(mesh)
+        nloc = len(local_subsimplices(dim, k))
         for j in range(nloc):
             def field(x, j=j):
-                vals = eval_basis(mesh, 0, k, x).values
+                vals = cell_basis(geo, k, x)
                 return vals[:, j] if vals.ndim == 2 else vals[:, j, :]
 
             dofs = canonical_interpolate(mesh, k, field, degree=8)
@@ -72,22 +78,21 @@ def test_kronecker_dofs(rng):
 
 
 def test_eval_basis_rejects_outside_points():
-    mesh = build_unit_square_mesh(1)
-    with pytest.raises(ValueError):
-        eval_basis(mesh, 0, 0, np.array([[2.0, 2.0]]))
+    geo = mesh_geometry(build_unit_square_mesh(1))[[0]]
+    with pytest.raises(ValueError, match=r"point outside cell 0\b"):
+        cell_basis(geo, 0, np.array([[2.0, 2.0]]))
 
 
 def test_partition_of_unity(rng):
     for dim in (2, 3):
-        mesh = random_cell_mesh(rng, dim)
-        pts = random_interior_points(rng, mesh, 5)
-        vals = eval_basis(mesh, 0, 0, pts).values
+        geo = mesh_geometry(random_cell_mesh(rng, dim))
+        pts = random_interior_points(rng, geo[0], 5)
+        vals = cell_basis(geo, 0, pts)
         np.testing.assert_allclose(vals.sum(axis=1), 1.0, rtol=1e-12)
 
 
-def random_interior_points(rng, mesh, count):
-    geom = cell_geometry(mesh, 0)
-    lam = rng.dirichlet(np.ones(mesh.dim + 1), size=count)
+def random_interior_points(rng, geom, count):
+    lam = rng.dirichlet(np.ones(len(geom.vertices)), size=count)
     return lam @ geom.vertices
 
 
@@ -114,8 +119,7 @@ def test_local_incidence_matches_global():
     for k in range(3):
         dglob = incidence(mesh, k).toarray()
         for cid in (0, 3):
-            geom = cell_geometry(mesh, cid)
-            dloc = local_incidence(geom, k)
+            dloc = local_incidence(mesh_geometry(mesh)[cid], k)
             rows = mesh.cell_entities[k + 1][cid]
             cols = mesh.cell_entities[k][cid]
             np.testing.assert_array_equal(dloc, dglob[np.ix_(rows, cols)])
@@ -128,8 +132,9 @@ def _loop_incidence(mesh, k):
     n = mesh.dim
     D = np.zeros((mesh.num_entities(k + 1), mesh.num_entities(k)), dtype=np.int64)
     if k == n - 1:
+        signs = mesh_geometry(mesh).facet_signs
         for c in range(mesh.num_cells):
-            D[c, mesh.cell_entities[k][c]] = cell_geometry(mesh, c).facet_signs
+            D[c, mesh.cell_entities[k][c]] = signs[c]
         return D
     ids = {tuple(s): i for i, s in enumerate(mesh.simplices[k].tolist())}
     for r, s in enumerate(mesh.simplices[k + 1].tolist()):
@@ -217,7 +222,7 @@ def test_interpolation_commutes_with_derivative_3d():
 def test_constant_field_dofs(rng):
     # closed-form DOFs of constant fields: |E| c.tau and |F| c.n
     mesh = random_cell_mesh(rng, 3)
-    geom = cell_geometry(mesh, 0)
+    geom = mesh_geometry(mesh)[0]
     c = np.array([0.3, -1.2, 0.7])
     field = lambda x: np.tile(c, (len(x), 1))
 
@@ -234,24 +239,23 @@ def test_constant_field_dofs(rng):
 
 def test_local_stiffness_reference_triangle():
     mesh = single_cell_mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    K = local_stiffness(mesh, 0, 0).matrix
+    K = stiffness_matrices(mesh_geometry(mesh), 0)[0]
     ref = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     np.testing.assert_allclose(K, ref, atol=1e-14)
 
 
 def test_local_mass_reference_triangle():
     mesh = single_cell_mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    M = local_mass(mesh, 0, 0).matrix
+    M = mass_matrices(mesh_geometry(mesh), 0)[0]
     ref = (np.ones((3, 3)) + np.eye(3)) / 24.0
     np.testing.assert_allclose(M, ref, rtol=1e-13)
 
 
 def quadrature_gram(mesh, k, use_d=False, degree=8):
     """Gram matrix of basis (or derivative-proxy) functions by quadrature."""
-    geom = cell_geometry(mesh, 0)
-    pts, wts = simplex_rule(geom.vertices, degree)
-    basis = eval_basis(mesh, 0, k, pts)
-    vals = basis.d_values if use_d else basis.values
+    geo = mesh_geometry(mesh)
+    pts, wts = (a[0] for a in simplex_rules(geo.vertices, degree))
+    vals = basis_derivatives(geo, k)[0] if use_d else cell_basis(geo, k, pts)
     if vals.ndim == 2 and vals.shape[0] != len(pts):
         # constant-per-cell proxies: promote to a point axis
         vals = np.broadcast_to(vals[None, :, :], (len(pts),) + vals.shape)
@@ -265,7 +269,7 @@ def quadrature_gram(mesh, k, use_d=False, degree=8):
 def test_mass_matches_quadrature(rng):
     for dim, k in SPECIES:
         mesh = random_cell_mesh(rng, dim)
-        M = local_mass(mesh, 0, k).matrix
+        M = mass_matrices(mesh_geometry(mesh), k)[0]
         np.testing.assert_allclose(
             M, quadrature_gram(mesh, k), atol=1e-12 * max(1.0, abs(M).max())
         )
@@ -276,7 +280,7 @@ def test_stiffness_matches_quadrature(rng):
         if k == dim:
             continue  # top-degree proxy is zero by construction
         mesh = random_cell_mesh(rng, dim)
-        K = local_stiffness(mesh, 0, k).matrix
+        K = stiffness_matrices(mesh_geometry(mesh), k)[0]
         np.testing.assert_allclose(
             K,
             quadrature_gram(mesh, k, use_d=True),
@@ -290,7 +294,7 @@ def test_stiffness_kernel_dimensions(rng):
                 (3, 2): 3, (3, 3): 1}
     for dim, k in SPECIES:
         mesh = random_cell_mesh(rng, dim)
-        K = local_stiffness(mesh, 0, k).matrix
+        K = stiffness_matrices(mesh_geometry(mesh), k)[0]
         np.testing.assert_allclose(K, K.T, atol=1e-13 * max(1.0, abs(K).max()))
         eigs = np.linalg.eigvalsh(K)
         assert eigs.min() > -1e-12 * max(1.0, abs(K).max())
@@ -307,15 +311,13 @@ def test_interpolation_error_decays(rng):
     for n in (4, 8, 16):
         mesh = build_unit_square_mesh(n)
         dofs = canonical_interpolate(mesh, 1, field, degree=6)
-        err2 = 0.0
-        for cid in range(mesh.num_cells):
-            geom = cell_geometry(mesh, cid)
-            pts, wts = simplex_rule(geom.vertices, 6)
-            vals = eval_basis(mesh, cid, 1, pts).values
-            local = dofs[mesh.cell_entities[1][cid]]
-            diff = np.einsum("qid,i->qd", vals, local) - field(pts)
-            err2 += wts @ (diff**2).sum(axis=1)
-        errors.append(np.sqrt(err2))
+        geo = mesh_geometry(mesh)
+        pts, wts = simplex_rules(geo.vertices, 6)
+        vals = basis_values(geo, 1, pts, 1e-10)
+        local = dofs[mesh.cell_entities[1]]
+        exact = field(pts.reshape(-1, 2)).reshape(pts.shape)
+        diff = np.einsum("cqid,ci->cqd", vals, local) - exact
+        errors.append(np.sqrt(np.sum(wts * (diff**2).sum(axis=2))))
     rate = np.log2(errors[0] / errors[1])
     assert 0.8 < rate < 1.3
     rate = np.log2(errors[1] / errors[2])
