@@ -10,11 +10,13 @@ The kernels
     B_3(eps; s, t, r) = eps * avg_tri / avg_tet   of the analogous form
 
 (the numerator runs over the sub-simplex spanned by all arguments but the
-last) are evaluated as ratios of shifted divided differences, which keeps
-them finite for argument-to-eps ratios far beyond 1e6 and reproduces the
-upwind limits at eps = 0 exactly.
+last) are evaluated as ratios of divided differences: on a clustered row
+both come from one series, and wider rows are shifted by their largest
+exponent, which keeps them finite for argument-to-eps ratios far beyond
+1e6 and reproduces the upwind limits at eps = 0 exactly.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -28,40 +30,77 @@ from .whitney import local_incidence
 # recursion, which is well conditioned there.
 _SERIES_SPREAD = 4.0
 
-# Series terms K.  About the midpoint c of a window of l + 1 points every
-# x_i = z_i - c has |x_i| <= 2, so |h_k(x)| <= C(k+l, l) 2^k and the k-th
-# term is at most 2^k / (k! l!), while the sum exp[x] is at least
-# e^-2 / l!.  The relative tail after K terms is therefore at most
-# e^2 sum_{k>=K} 2^k/k! < e^2 (2^K/K!) (K+1)/(K-1), below 2^-56 from K = 26.
-_SERIES_TERMS = 26
+# Series terms K by class of half-spread r.  About the midpoint c of a
+# window of l + 1 points every x_i = z_i - c has |x_i| <= r, so
+# |h_k(x)| <= C(k+l, l) r^k and the k-th term is at most r^k / (k! l!),
+# while the sum exp[x] is at least e^-r / l!.  The relative tail after K
+# terms is therefore at most e^r sum_{k>=K} r^k/k!
+# < e^r (r^K/K!) (K+1)/(K+1-r); each K is the least that takes this
+# below 2^-56 at the r of its class, the last r being half of
+# _SERIES_SPREAD.
+_SERIES_HALF = np.array([0.25, 0.5, 1.0, 2.0])
+_SERIES_TERMS = np.array([13, 16, 20, 26])
 
 _LIMIT_GUARD = 1e14
 
 
-def _dd_exp_series(win, c):
-    """exp[x_0..x_l] of the rows of ``win`` (N, l+1), each of spread at
-    most ``_SERIES_SPREAD``: e^c sum_k h_k(x - c) / (k + l)! about the
-    midpoint ``c`` (N,) of the row, with the complete homogeneous
-    symmetric polynomials h_k (McCurdy, Ng & Parlett, Math. Comp. 43,
-    1984)."""
-    x = np.ascontiguousarray((win - c[:, None]).T)
+def _rowwise(ufunc, a, *initial):
+    """The binary ``ufunc`` folded over the last axis of ``a``, one column
+    at a time: numpy reduces a short last axis many times slower."""
+    return functools.reduce(ufunc, np.moveaxis(a, -1, 0), *initial)
+
+
+def _series(x, half, prefix=False):
+    """S_l = l! sum_k h_k(x_0..x_l) / (k+l)! of every column of ``x``
+    (l+1, N), whose points lie within ``half`` (N,) of 0, with the
+    complete homogeneous symmetric polynomials h_k (McCurdy, Ng &
+    Parlett, Math. Comp. 43, 1984); exp[x] = S_l / l!.  With ``prefix``
+    also S_{l-1} of x_0..x_{l-1}, from the same recursion, which meets
+    the same tail bound; returned as (S_{l-1}, S_l).
+
+    A column takes the terms of its class of ``half``.  The columns run
+    in order of decreasing terms, so step k works on a leading slice, and
+    a column's value does not depend on the batch it is evaluated in.
+    """
+    terms = _SERIES_TERMS.take(np.searchsorted(_SERIES_HALF, half))
+    order = np.argsort(-terms, kind="stable")
+    x = x.take(order, axis=1)
     l = len(x) - 1
-    # h[j] holds h_k(x_0..x_j); each order adds one variable at a time
-    h = np.ones_like(x)
-    terms = np.empty((_SERIES_TERMS, len(c)))
-    terms[0] = 1.0
-    for k in range(1, _SERIES_TERMS):
-        h[0] *= x[0]
-        for j in range(1, l + 1):
-            h[j] = h[j - 1] + x[j] * h[j]
-        terms[k] = h[l]
-    # l! sum_k h_k / (k+l)!, nested from the tail: where the points have
-    # both signs the terms alternate, and a forward sum of them lost up to
-    # 2.5 ulp on the worst windows, against 1.2 ulp nested
-    total = terms[-1]
-    for k in range(_SERIES_TERMS - 2, -1, -1):
-        total = terms[k] + total / (k + l + 1)
-    return np.exp(c) * total / math.factorial(l)
+    K = int(terms.max(initial=0))
+    # live[k]: the number of columns with more than k terms
+    live = np.searchsorted(-terms.take(order), -np.arange(K)).tolist()
+    # h[k, i] holds h_k(x_0..x_i); each order adds one variable at a time
+    h = np.empty((K, l + 1, len(half)))
+    h[:1] = 1.0
+    for k in range(1, K):
+        n = live[k]
+        prev, cur = h[k - 1, :, :n], h[k, :, :n]
+        np.multiply(prev[0], x[0, :n], out=cur[0])
+        for i in range(1, l + 1):
+            np.multiply(x[i, :n], prev[i], out=cur[i])
+            np.add(cur[i], cur[i - 1], out=cur[i])
+    # sum_k h_k m! / (k+m)! over the first m + 1 points, nested from the
+    # tail: where the points have both signs the terms alternate, and a
+    # forward sum of them lost up to 2.5 ulp on the worst windows, against
+    # 1.2 ulp nested
+    rows = [l - 1, l] if prefix else [l]
+    total = np.zeros((len(rows), len(half)))
+    for t, m in zip(total, rows):
+        for k in range(K - 1, -1, -1):
+            tk = t[:live[k]]
+            np.divide(tk, k + m + 1, out=tk)
+            np.add(tk, h[k, m, :live[k]], out=tk)
+    sums = np.empty_like(total)
+    sums[:, order] = total
+    return tuple(sums) if prefix else sums[0]
+
+
+def _dd_exp_series(win, c, half):
+    """exp[x_0..x_l] of the rows of ``win`` (N, l+1), each of spread at
+    most ``_SERIES_SPREAD``, by the series about the midpoint ``c`` (N,)
+    of the row, whose half-spread is ``half``."""
+    x = (win - c[:, None]).T
+    return np.exp(c) * _series(x, half) / math.factorial(len(x) - 1)
 
 
 def _dd_exp_table(z):
@@ -86,7 +125,9 @@ def _dd_exp_table(z):
             up = np.pad(z[:, l + 1:] - z[:, :-l - 1] > _SERIES_SPREAD, ((0, 0), (1, 1)))
             need = ~far & (up[:, :-1] | up[:, 1:])
             near = win[need]
-            col[need] = _dd_exp_series(near, 0.5 * (near[:, 0] + near[:, -1]))
+            col[need] = _dd_exp_series(
+                near, 0.5 * (near[:, 0] + near[:, -1]), 0.5 * (near[:, -1] - near[:, 0])
+            )
     return col[:, 0]
 
 
@@ -98,14 +139,15 @@ def _dd_exp(w):
     at most ``_SERIES_SPREAD`` takes one series; only the others are
     sorted and go through the Newton table.
     """
-    mu = np.max(w, axis=-1)
+    mu = _rowwise(np.maximum, w)
     z = (w - mu[..., None]).reshape(-1, w.shape[-1])
     d = np.empty(len(z))
-    lo = np.min(z, axis=-1)
+    lo = _rowwise(np.minimum, z)
     top = lo >= -_SERIES_SPREAD
-    d[top] = _dd_exp_series(z[top], 0.5 * lo[top])
+    c = 0.5 * lo[top]
+    d[top] = _dd_exp_series(np.compress(top, z, axis=0), c, -c)
     if not np.all(top):
-        d[~top] = _dd_exp_table(np.sort(z[~top], axis=-1))
+        d[~top] = _dd_exp_table(np.sort(np.compress(~top, z, axis=0), axis=-1))
     return mu, d.reshape(mu.shape)
 
 
@@ -131,29 +173,50 @@ def _bernoulli(eps, args):
     nonpositive, (max - last)/j when a leading argument attains the max,
     else 0.  Raises ValueError on negative or NaN eps and on non-finite
     arguments.
+
+    A row whose exponents [0, args/eps] span at most ``_SERIES_SPREAD``
+    takes one series for numerator and denominator; a wider row takes two
+    shifted divided differences.
     """
     args = np.asarray(args, dtype=float)
-    eps = np.broadcast_to(np.asarray(eps, dtype=float), args.shape[:-1])
+    shape, j = args.shape[:-1], args.shape[-1]
+    args = args.reshape(-1, j)
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), shape).reshape(-1)
     if not np.all(eps >= 0):
         raise ValueError("eps must be nonnegative")
-    finite = np.all(np.isfinite(args), axis=-1)
-    if not np.all(finite):
-        raise ValueError(f"non-finite kernel arguments {args[~finite][0]}")
-    j = args.shape[-1]
-    out = np.array((np.max(args, axis=-1, initial=0.0) - args[..., -1]) / j)
+    if not np.all(np.isfinite(args)):
+        bad = args[~np.all(np.isfinite(args), axis=1)][0]
+        raise ValueError(f"non-finite kernel arguments {bad}")
+    out = (_rowwise(np.maximum, args, 0.0) - args[:, -1]) / j
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ys = args / eps[..., None]
-    # past the guard the relative distance to the limit is below resolution
-    fit = np.all(np.abs(ys) <= _LIMIT_GUARD, axis=-1)
-    ys = ys[fit]
-    zero = np.zeros(ys.shape[:-1] + (1,))
-    mu_n, d_n = _dd_exp(np.concatenate([zero, ys[:, :-1]], axis=1))
-    mu_d, d_d = _dd_exp(np.concatenate([zero, ys], axis=1))
-    # mu_n <= mu_d since the numerator runs over a sub-simplex, so the
-    # exponential factor never overflows and vanishes exactly where the
-    # limit value is zero; the averages are (j-1)! d_n and j! d_d
-    out[fit] = eps[fit] * np.exp(mu_n - mu_d) * d_n / (j * d_d)
-    return out
+        ys = args / eps[:, None]
+        hi = _rowwise(np.maximum, ys, 0.0)
+        lo = _rowwise(np.minimum, ys, 0.0)
+        near = hi - lo <= _SERIES_SPREAD
+        # past the guard the relative distance to the limit is below resolution
+        wide = ~near & (hi <= _LIMIT_GUARD) & (lo >= -_LIMIT_GUARD)
+    if np.any(near):
+        # one series about the midpoint c of the denominator row
+        # [0, y_1..y_j], whose prefix [0, y_1..y_{j-1}] is the numerator
+        # row; e^c and the factorials cancel in the ratio of the averages
+        # (j-1)! exp[num] and j! exp[den]
+        hi, lo = hi[near], lo[near]
+        c = 0.5 * (hi + lo)
+        x = np.empty((j + 1, len(c)))
+        x[0] = -c
+        np.subtract(np.compress(near, ys, axis=0).T, c, out=x[1:])
+        num, den = _series(x, 0.5 * (hi - lo), prefix=True)
+        out[near] = eps[near] * num / den
+    if np.any(wide):
+        yw = np.compress(wide, ys, axis=0)
+        zero = np.zeros((len(yw), 1))
+        mu_n, d_n = _dd_exp(np.concatenate([zero, yw[:, :-1]], axis=1))
+        mu_d, d_d = _dd_exp(np.concatenate([zero, yw], axis=1))
+        # mu_n <= mu_d since the numerator runs over a sub-simplex, so the
+        # exponential factor never overflows and vanishes exactly where the
+        # limit value is zero; the averages are (j-1)! d_n and j! d_d
+        out[wide] = eps[wide] * np.exp(mu_n - mu_d) * d_n / (j * d_d)
+    return out.reshape(shape)
 
 
 def bernoulli1(eps, s):
@@ -195,7 +258,8 @@ def averaged_coefficients(geo, alpha, beta, degree):
     nonnegative constant or vectorized callable; ``beta`` returns a
     length-n vector per point.  Raises ValueError naming the first cell
     where alpha is negative or not finite at the barycenter, or positive
-    there with a mean that is not positive and finite."""
+    there with a mean that is not positive and finite, and the first cell
+    where beta is not finite at the barycenter."""
     xc = geo.barycenter
     alpha_c = _eval_at(alpha, xc)
     fitted = alpha_c > 0
@@ -211,8 +275,11 @@ def averaged_coefficients(geo, alpha, beta, degree):
             f"alpha is negative, not finite or of nonpositive mean on cell "
             f"{geo.cell_ids[bad[0]]}"
         )
-    # beta_bar = alpha_bar * theta_bar, and beta(x_c) itself where alpha vanishes
     beta_c = _eval_at(beta, xc)
+    bad = np.nonzero(~np.all(np.isfinite(beta_c), axis=1))[0]
+    if bad.size:
+        raise ValueError(f"beta is not finite on cell {geo.cell_ids[bad[0]]}")
+    # beta_bar = alpha_bar * theta_bar, and beta(x_c) itself where alpha vanishes
     theta = np.divide(beta_c, alpha_c[:, None], out=np.array(beta_c), where=fitted[:, None])
     return alpha_bar, np.where(fitted, alpha_bar, 1.0)[:, None] * theta
 

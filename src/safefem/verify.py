@@ -74,12 +74,17 @@ def _sines(P):
 
 
 def _sines_grad(P):
+    return _sines_and_grad(P)[1]
+
+
+def _sines_and_grad(P):
+    """``_sines`` and ``_sines_grad`` from one sin and one cos of pi P."""
     s, grad = np.sin(np.pi * P), np.pi * np.cos(np.pi * P)
     # column i of the k-th roll is sin(pi x_{i+k}), so the product over
     # k = 1..dim-1 takes every factor but the i-th
     for k in range(1, P.shape[1]):
         grad *= np.roll(s, -k, axis=1)
-    return grad
+    return math.prod(s.T), grad
 
 
 def _div2d_u(P):
@@ -148,8 +153,8 @@ def make_case(name, alpha=1.0, gamma=1.0, diagonal=DIAG_LL_UR):
         def f(P):
             # -alpha lap u - beta . grad u + gamma u, as div beta = 0; u is
             # a product of sines, so lap u = -dim pi^2 u
-            u = _sines(P)
-            return (alpha * dim * np.pi**2 + gamma) * u - np.vecdot(beta(P), _sines_grad(P))
+            u, grad = _sines_and_grad(P)
+            return (alpha * dim * np.pi**2 + gamma) * u - np.vecdot(beta(P), grad)
 
         return ManufacturedCase(
             name, dim, 0, "primal", "grad-primal", alpha, gamma, beta=beta, f=f,

@@ -212,3 +212,20 @@ def test_nonpositive_callable_alpha_is_named(dim, k):
 
         with pytest.raises(ValueError, match=rf"alpha is negative.* on cell {cid}\b"):
             assemble(mesh, k, alpha, beta_field(dim))
+
+
+@pytest.mark.parametrize("dim,k", CONVECTIVE_SPECIES)
+def test_nonfinite_callable_beta_is_named(dim, k):
+    mesh = build_unit_square_mesh(4) if dim == 2 else build_unit_cube_mesh(2)
+    cid = mesh.num_cells - 3
+    xc = mesh_geometry(mesh)[cid].barycenter
+    for bad in (np.nan, np.inf):
+
+        def beta(x):
+            vals = beta_field(dim)(x)
+            vals[np.all(np.abs(x - xc) < 1e-12, axis=1), 0] = bad
+            return vals
+
+        for alpha in (1.0, 0.0):
+            with pytest.raises(ValueError, match=rf"beta is not finite on cell {cid}\b"):
+                assemble(mesh, k, alpha, beta)

@@ -24,6 +24,7 @@ from mpmath import expm1, factorial, mpf, quad, workdps
 from safefem.assembly import local_safe_oracle
 from safefem.exponential import (
     _LIMIT_GUARD,
+    _SERIES_HALF,
     _SERIES_SPREAD,
     _SERIES_TERMS,
     _bernoulli,
@@ -331,6 +332,11 @@ MIXED_ROWS = {
         (1.0, (-2e15,), 2e15),  # past the limit guard
         (1e-16, (5.0,), 0.0),  # past the limit guard
         (1.0, (1.5,), None),  # series
+        (1.0, (0.3,), None),  # series, each class of half-spread
+        (1.0, (-0.4582922910426981,), None),  # 13 and 26 terms round apart
+        (0.5, (-0.4,), None),
+        (2.0, (-3.0,), None),
+        (1.0, (3.5,), None),
         (0.5, (-7.0,), None),  # recursion
         (1.0, (0.0,), None),  # exact tie
         (1e-3, (1.0,), None),  # exponent underflow
@@ -342,6 +348,11 @@ MIXED_ROWS = {
         (1e-15, (3.0, 1.0), 1.0),
         (1e-15, (-1.0, -4.0), 2.0),
         (1.0, (0.5, -1.0), None),
+        (1.0, (0.1, -0.2), None),
+        # 13 and 26 terms round apart
+        (1.0, (0.2313743592467163, -0.16700743988339928), None),
+        (1.0, (0.6, 0.3), None),
+        (0.5, (-0.6, 0.9), None),
         (0.2, (3.0, -2.0), None),
         (0.7, (-1.0, 2.0), None),
         (1.0, (2.0, 2.0), None),
@@ -358,6 +369,12 @@ MIXED_ROWS = {
         (1e-15, (-1.0, -2.0, -6.0), 2.0),
         (1e-15, (1.0, 6.0, -3.0), 3.0),
         (1.0, (0.5, 1.0, -1.0), None),
+        (1.0, (0.2, -0.1, 0.3), None),
+        # 13 and 26 terms round apart
+        (1.0, (-0.06983446541521238, -0.22218961079232064, 0.24771657744500086), None),
+        (2.0, (-1.0, 0.5, -1.5), None),
+        (1.0, (0.5, -1.3, 0.2), None),
+        (0.5, (1.5, 0.2, -0.5), None),
         (0.3, (-2.0, 3.0, -4.0), None),
         (0.4, (1.0, -0.2, 0.3), None),
         (1.0, (1.0, 1.0, 1.0), None),
@@ -374,11 +391,13 @@ def test_batched_kernel_mixed_rows(j):
     rows = MIXED_ROWS[j]
     eps = np.array([r[0] for r in rows])
     args = np.array([r[1] for r in rows])
-    # the batch covers both table branches and the limit guard
-    spreads = [
+    # the batch covers every series class, the table and the limit guard
+    spreads = np.array([
         max(0.0, *a) / e - min(0.0, *a) / e for e, a, lim in rows if lim is None
-    ]
-    assert min(spreads) <= _SERIES_SPREAD < max(spreads)
+    ])
+    assert max(spreads) > _SERIES_SPREAD
+    classes = np.searchsorted(_SERIES_HALF, 0.5 * spreads[spreads <= _SERIES_SPREAD])
+    assert set(classes) == set(range(len(_SERIES_HALF)))
     assert any(e > 0 and max(map(abs, a)) / e > _LIMIT_GUARD for e, a, _ in rows)
     values = _bernoulli(eps, args)
     assert values.shape == (len(rows),)
@@ -387,7 +406,8 @@ def test_batched_kernel_mixed_rows(j):
             assert rel_to_oracle(value, mp_bernoulli(e, a)) < 1e-12
         else:
             assert value == lim
-    # each row's value does not depend on the batch it is evaluated in
+    # each row's value does not depend on the batch it is evaluated in;
+    # rows marked above round apart with the terms of the widest class
     single = [_bernoulli(e, a) for e, a in zip(eps, args)]
     assert np.array_equal(values, single)
     for bad in (-1e-300, math.nan):
@@ -401,30 +421,57 @@ def test_batched_kernel_mixed_rows(j):
         _bernoulli(eps, bad_args)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_series_worst_case_windows(m):
-    # every point at spread/2 from the midpoint, as far from the centre
-    # as the series allows; just past _SERIES_SPREAD the row takes the table
-    rows = []
+def worst_case_rows(m):
+    """Rows of m + 1 points, each at the half-spread r from the midpoint,
+    with both signs, at every class edge r of the series and just
+    inside and outside it; past the last edge the row takes the table."""
     for signs in itertools.product((-1.0, 1.0), repeat=m + 1):
         if len(set(signs)) == 2:
-            for scale in (1.0 - 1e-12, 1.0 + 1e-12):
-                for centre in (0.0, -3.7, 5.1, 40.0):
-                    half = 0.5 * _SERIES_SPREAD * scale
-                    rows.append([centre + s * half for s in signs])
+            for edge in _SERIES_HALF:
+                for scale in (1.0 - 1e-12, 1.0 + 1e-12):
+                    yield [s * edge * scale for s in signs]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_series_worst_case_windows(m):
+    # every point as far from the centre as its class allows
+    rows = [
+        [centre + z for z in row]
+        for row in worst_case_rows(m)
+        for centre in (0.0, -3.7, 5.1, 40.0)
+    ]
     mu, d = _dd_exp(np.array(rows))
     for row, shift, value in zip(rows, mu, d):
         assert rel_to_oracle(value, mp_dd_exp(row, shift)) <= 4e-16
 
 
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_kernel_worst_case_windows(j):
+    # the same rows as kernel rows [0, y_1..y_j]: one series about the
+    # midpoint of the denominator also gives the numerator, whose points
+    # need not be centred there, which costs accuracy at the widest class
+    # (measured worst case 2.2e-15, at j = 3 on the last edge)
+    for eps in (1.0, 0.3):
+        args = np.array([
+            [eps * (z - row[0]) for z in row[1:]] for row in worst_case_rows(j)
+        ])
+        values = _bernoulli(eps, args)
+        for row, value in zip(args, values):
+            assert rel_to_oracle(value, mp_bernoulli(eps, row)) <= 4e-15
+
+
 def test_series_terms_meet_tail_bound():
     # the bound of exponential.py: after K terms of the series about the
-    # midpoint the relative tail is below e^2 (2^K/K!) (K+1)/(K-1); the
-    # worst windows above stay far inside it, so this pins K to the proof
-    def bound(K):
-        return math.e**2 * 2.0**K / math.factorial(K) * (K + 1) / (K - 1)
+    # midpoint of a window of half-spread r the relative tail is below
+    # e^r (r^K/K!) (K+1)/(K+1-r); this pins each class's K to the least
+    # that takes it under 2^-56, and the last class to the series spread
+    def bound(r, K):
+        return math.exp(r) * r**K / math.factorial(K) * (K + 1) / (K + 1 - r)
 
-    assert bound(_SERIES_TERMS) < 2.0**-56 <= bound(_SERIES_TERMS - 1)
+    assert _SERIES_HALF[-1] == 0.5 * _SERIES_SPREAD
+    assert np.all(np.diff(_SERIES_HALF) > 0) and np.all(np.diff(_SERIES_TERMS) > 0)
+    for r, K in zip(_SERIES_HALF.tolist(), _SERIES_TERMS.tolist()):
+        assert bound(r, K) < 2.0**-56 <= bound(r, K - 1)
 
 
 # rows wider than the series spread with a lower window that is not: the
