@@ -9,9 +9,6 @@ from .assembly import (
     local_safe_oracle,
 )
 from .exponential import (
-    bernoulli1,
-    bernoulli2,
-    bernoulli3,
     exp_average,
     local_exp_operators,
 )
@@ -23,7 +20,7 @@ from .mesh import (
     build_unit_square_mesh,
     save_vtk,
 )
-from .solver import SolveReport, SolverConfig, solve
+from .solver import SolveReport, solve
 from .verify import (
     ConvergenceReport,
     ErrorNorms,

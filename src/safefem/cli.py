@@ -13,15 +13,15 @@ failures.
 """
 
 import argparse
+import itertools
 import os
 import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .exponential import bernoulli1, bernoulli2, bernoulli3
+from .exponential import _bernoulli
 from .mesh import DIAG_LL_UR, DIAGONALS
-from .solver import SolverConfig
 from .verify import (
     CASE_NAMES,
     error_norms,
@@ -45,9 +45,7 @@ class RunConfig:
     n: int = 32
     diagonal: str = DIAG_LL_UR
     outdir: str = "."
-    method: str = "auto"
     tol: float = 1e-10
-    max_iter: int = 2000
     eps: tuple = (0.0, 1e-8, 1e-2, 1.0)
     args_min: float = -10.0
     args_max: float = 10.0
@@ -117,9 +115,8 @@ def _build_parser():
             p.add_argument("--n", dest="n", type=int, help="mesh size")
         p.add_argument("--diagonal", choices=DIAGONALS)
         p.add_argument("--outdir")
-        p.add_argument("--method", choices=("auto", "direct", "iterative"))
-        p.add_argument("--tol", type=float)
-        p.add_argument("--max-iter", dest="max_iter", type=int)
+        p.add_argument("--tol", type=float,
+                       help="bound on the relative residual of the solve")
 
     pc = sub.add_parser("convergence", help="error/rate table over meshes")
     common(pc, with_ns=True, with_n=False)
@@ -151,15 +148,10 @@ def _merge_config(args):
     return replace(cfg, **overrides)
 
 
-def _solver_config(cfg):
-    method = None if cfg.method == "auto" else cfg.method
-    return SolverConfig(method=method, tol=cfg.tol, max_iter=cfg.max_iter)
-
-
 def _cmd_convergence(cfg):
     case = make_case(cfg.case, alpha=cfg.alpha, gamma=cfg.gamma,
                      diagonal=cfg.diagonal)
-    report = run_convergence(case, cfg.ns, _solver_config(cfg))
+    report = run_convergence(case, cfg.ns, tol=cfg.tol)
     print(report)
     path = os.path.join(cfg.outdir, f"{cfg.case}_convergence.csv")
     report.to_csv(path)
@@ -170,12 +162,12 @@ def _cmd_convergence(cfg):
 def _cmd_solve(cfg):
     case = make_case(cfg.case, alpha=cfg.alpha, gamma=cfg.gamma,
                      diagonal=cfg.diagonal)
-    mesh, u, rep = solve_case(case, cfg.n, _solver_config(cfg))
+    mesh, u, rep = solve_case(case, cfg.n, tol=cfg.tol)
     if not np.all(np.isfinite(u)):
         raise RuntimeError("solution contains non-finite values")
     metrics = stability_metrics(u)
     print(f"solved {cfg.case} on n={cfg.n}: {rep.n_dofs} DOFs, "
-          f"method={rep.method}, residual={rep.residual:.3e}")
+          f"fill={rep.fill}, residual={rep.residual:.3e}")
     print(f"max |DOF| = {metrics.max_abs_dof:.9g}")
     if case.u_exact is not None:
         err = error_norms(mesh, case.k, u, case.u_exact, case.du_exact)
@@ -192,20 +184,12 @@ def _cmd_bernoulli_table(cfg):
     grid = np.linspace(cfg.args_min, cfg.args_max, cfg.args_count)
     lines = ["kernel,eps,s,t,r,value"]
     for eps in cfg.eps:
-        for s in grid:
-            b = bernoulli1(eps, float(s))
-            lines.append(f"b1,{eps:.9g},{s:.9g},,,{b:.9g}")
-        for s in grid:
-            for t in grid:
-                b = bernoulli2(eps, float(s), float(t))
-                lines.append(f"b2,{eps:.9g},{s:.9g},{t:.9g},,{b:.9g}")
-        for s in grid:
-            for t in grid:
-                for r in grid:
-                    b = bernoulli3(eps, float(s), float(t), float(r))
-                    lines.append(
-                        f"b3,{eps:.9g},{s:.9g},{t:.9g},{r:.9g},{b:.9g}"
-                    )
+        for j in (1, 2, 3):
+            args = np.array(list(itertools.product(grid, repeat=j)))
+            values = _bernoulli(eps, args)
+            for row, b in zip(args.tolist(), values.tolist()):
+                cols = [f"{a:.9g}" for a in row] + [""] * (3 - j)
+                lines.append(f"b{j},{eps:.9g},{','.join(cols)},{b:.9g}")
     path = os.path.join(cfg.outdir, "bernoulli_table.csv")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -219,21 +219,6 @@ def _bernoulli(eps, args):
     return out.reshape(shape)
 
 
-def bernoulli1(eps, s):
-    """Edge kernel; eps = 0 selects the upwind limit."""
-    return float(_bernoulli(eps, (s,)))
-
-
-def bernoulli2(eps, s, t):
-    """Face kernel, symmetric in nothing but stable everywhere."""
-    return float(_bernoulli(eps, (s, t)))
-
-
-def bernoulli3(eps, s, t, r):
-    """Cell kernel (3d), symmetric in its first two arguments."""
-    return float(_bernoulli(eps, (s, t, r)))
-
-
 def _eval_at(coeff, points):
     """A constant or vectorized-callable coefficient at points of shape
     (..., n), shaped (...) for scalar and (..., n) for vector data."""

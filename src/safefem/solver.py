@@ -1,12 +1,10 @@
-"""Linear solvers for assembled systems."""
+"""Direct linear solver for assembled systems."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
-_DIRECT_LIMIT = 200_000
 # nested dissection leaves boxes of at most this many DOFs uncut
 _LEAF_DOFS = 16
 # the order keys hold one base-3 digit per depth in an int64
@@ -14,31 +12,16 @@ _MAX_DEPTH = 39
 # SuperLU keeps the diagonal pivot unless an entry below it is more than
 # ten times larger, so the nested-dissection order survives the pivoting
 _DIAG_PIVOT_THRESH = 0.1
-_RESTART = 20
-
-
-@dataclass
-class SolverConfig:
-    """``method`` is "direct", "iterative" or None for the size-based
-    default (direct up to 200k DOFs).  ``tol`` bounds the relative
-    residual of both methods; ``max_iter`` caps the inner GMRES
-    iterations, rounded up to whole restart cycles of 20."""
-
-    method: str | None = None
-    tol: float = 1e-10
-    max_iter: int = 2000
 
 
 @dataclass
 class SolveReport:
     """``fill`` is the number of entries SuperLU stores for the factors L
-    and U of a direct solve, None for an iterative solve."""
+    and U."""
 
-    method: str
     n_dofs: int
-    iterations: int | None
     residual: float
-    fill: int | None
+    fill: int
 
 
 def _reach(A, x):
@@ -100,66 +83,30 @@ def _nested_dissection(points, A):
     return np.argsort(key, kind="stable")
 
 
-def solve(system, config=None):
+def solve(system, tol=1e-10):
     """Solve the system, returning (solution, SolveReport).
 
-    Direct solves factor the system in nested-dissection order of the
-    DOF points with threshold pivoting; iterative solves use restarted
-    GMRES with an incomplete-LU preconditioner (Jacobi fallback).
-    Singular matrices, a relative residual above ``config.tol`` and
-    non-convergence raise RuntimeError.
+    The system is factored in nested-dissection order of the DOF points
+    with threshold pivoting.  Singular matrices and a relative residual
+    above ``tol`` raise RuntimeError.
     """
-    config = config or SolverConfig()
     A = system.matrix.tocsc()
     b = np.asarray(system.rhs, dtype=float)
     n = A.shape[0]
-    method = config.method
-    if method is None:
-        method = "direct" if n <= _DIRECT_LIMIT else "iterative"
-    if method not in ("direct", "iterative"):
-        raise ValueError(f"unknown solver method {method!r}")
-    bnorm = np.linalg.norm(b)
-    if method == "direct":
-        p = _nested_dissection(system.dof_map.points, A)
-        try:
-            lu = spla.splu(
-                A[p][:, p], permc_spec="NATURAL", diag_pivot_thresh=_DIAG_PIVOT_THRESH
-            )
-        except RuntimeError as exc:
-            raise RuntimeError(f"direct solve failed: {exc}") from exc
-        x = np.empty(n)
-        x[p] = lu.solve(b[p])
-        if not np.all(np.isfinite(x)):
-            raise RuntimeError("direct solve produced non-finite values")
-        res = np.linalg.norm(A @ x - b) / max(bnorm, 1e-300)
-        if not res <= config.tol:
-            raise RuntimeError(
-                f"direct solve relative residual {res:.3e} exceeds tol {config.tol:.3e}"
-            )
-        return x, SolveReport("direct", n, None, res, lu.nnz)
-
+    p = _nested_dissection(system.dof_map.points, A)
     try:
-        ilu = spla.spilu(A, drop_tol=1e-5, fill_factor=20.0)
-        prec = spla.LinearOperator(A.shape, ilu.solve)
-    except RuntimeError:
-        d = A.diagonal()
-        if np.any(d == 0):
-            raise RuntimeError("singular preconditioner: zero diagonal")
-        prec = spla.LinearOperator(A.shape, lambda v: v / d)
-    count = {"it": 0}
-
-    def cb(_):
-        count["it"] += 1
-
-    # scipy's maxiter counts restart cycles; cap the inner iterations
-    x, info = spla.gmres(
-        A, b, rtol=config.tol, atol=0.0, restart=_RESTART,
-        maxiter=math.ceil(config.max_iter / _RESTART),
-        M=prec, callback=cb, callback_type="pr_norm",
-    )
-    if info != 0 or not np.all(np.isfinite(x)):
-        raise RuntimeError(
-            f"gmres did not converge in {count['it']} inner iterations (info={info})"
+        lu = spla.splu(
+            A[p][:, p], permc_spec="NATURAL", diag_pivot_thresh=_DIAG_PIVOT_THRESH
         )
-    res = np.linalg.norm(A @ x - b) / max(bnorm, 1e-300)
-    return x, SolveReport("iterative", n, count["it"], res, None)
+    except RuntimeError as exc:
+        raise RuntimeError(f"direct solve failed: {exc}") from exc
+    x = np.empty(n)
+    x[p] = lu.solve(b[p])
+    if not np.all(np.isfinite(x)):
+        raise RuntimeError("direct solve produced non-finite values")
+    res = np.linalg.norm(A @ x - b) / max(np.linalg.norm(b), 1e-300)
+    if not res <= tol:
+        raise RuntimeError(
+            f"direct solve relative residual {res:.3e} exceeds tol {tol:.3e}"
+        )
+    return x, SolveReport(n, res, lu.nnz)

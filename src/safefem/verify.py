@@ -278,8 +278,9 @@ def error_norms(mesh, k, u_h, u_exact, du_exact=None, degree=4):
     return ErrorNorms(math.sqrt(acc_l2), math.sqrt(acc_d) if du_exact is not None else None)
 
 
-def solve_case(case, n, solver_config=None, quad_degree=4):
-    """Assemble, constrain and solve one mesh of a case.
+def solve_case(case, n, tol=1e-10, quad_degree=4):
+    """Assemble, constrain and solve one mesh of a case; ``tol`` bounds
+    the relative residual of the solve.
 
     Returns (mesh, dof vector, SolveReport).
     """
@@ -299,7 +300,7 @@ def solve_case(case, n, solver_config=None, quad_degree=4):
         )
         values = {int(d): float(traces[d]) for d in flagged}
     constrained = apply_essential_bc(system, values)
-    u, report = solve(constrained, solver_config)
+    u, report = solve(constrained, tol=tol)
     return mesh, u, report
 
 
@@ -352,14 +353,14 @@ class ConvergenceReport:
             fh.write("\n".join(lines) + "\n")
 
 
-def run_convergence(case, ns, solver_config=None, quad_degree=4):
+def run_convergence(case, ns, tol=1e-10, quad_degree=4):
     """Solve the case over a mesh family and tabulate errors and rates."""
     if case.u_exact is None:
         raise ValueError(f"case {case.name} has no exact solution to converge to")
     report = ConvergenceReport(case.name, case.scheme, case.alpha, case.gamma)
     prev = None
     for n in ns:
-        mesh, u, _ = solve_case(case, n, solver_config, quad_degree)
+        mesh, u, _ = solve_case(case, n, tol=tol, quad_degree=quad_degree)
         err = error_norms(mesh, case.k, u, case.u_exact, case.du_exact, quad_degree)
         if prev is None:
             lo = do = None

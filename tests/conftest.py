@@ -3,8 +3,24 @@
 import numpy as np
 import pytest
 
+from safefem.exponential import _bernoulli
 from safefem.mesh import _build_complex, build_unit_cube_mesh, build_unit_square_mesh
 from safefem.quadrature import simplex_measures
+
+
+def bernoulli1(eps, s):
+    """Edge kernel B_1 at one point; eps = 0 selects the upwind limit."""
+    return float(_bernoulli(eps, (s,)))
+
+
+def bernoulli2(eps, s, t):
+    """Face kernel B_2 at one point."""
+    return float(_bernoulli(eps, (s, t)))
+
+
+def bernoulli3(eps, s, t, r):
+    """Cell kernel B_3 (3d) at one point."""
+    return float(_bernoulli(eps, (s, t, r)))
 
 
 @pytest.fixture

@@ -14,9 +14,6 @@ import numpy as np
 from safefem.assembly import assemble, local_safe_oracle, safe_matrices
 from safefem.exponential import (
     averaged_coefficients,
-    bernoulli1,
-    bernoulli2,
-    bernoulli3,
     local_exp_operators,
 )
 from safefem.mesh import (
@@ -35,7 +32,14 @@ from safefem.whitney import (
     stiffness_matrices,
 )
 
-from conftest import random_cell_mesh, random_simplex, single_cell_mesh
+from conftest import (
+    bernoulli1,
+    bernoulli2,
+    bernoulli3,
+    random_cell_mesh,
+    random_simplex,
+    single_cell_mesh,
+)
 
 DIV2D_L2_REFERENCE_N128 = 0.004844
 CURL3D_CURL_REFERENCE_N16 = 0.013083

@@ -10,12 +10,13 @@ from pathlib import Path
 import pytest
 
 from safefem.cli import RunConfig, main
-from safefem.exponential import bernoulli1, bernoulli2
+
+from conftest import bernoulli1, bernoulli2, bernoulli3
 
 
 def test_run_config_round_trip():
     cfg = RunConfig(case="grad2d", alpha=0.01, ns=(2, 4), eps=(0.0, 1.0),
-                    outdir="/tmp", max_iter=17)
+                    outdir="/tmp", tol=1e-12)
     again = RunConfig.from_text(cfg.to_text())
     assert again == cfg
 
@@ -38,6 +39,9 @@ def test_run_config_parses_comments_and_types():
 def test_run_config_rejects_unknown_keys():
     with pytest.raises(ValueError):
         RunConfig.from_text("flux_capacitor = 1\n")
+    for key in ("method = direct", "max_iter = 100"):
+        with pytest.raises(ValueError, match="unknown config key"):
+            RunConfig.from_text(key + "\n")
     with pytest.raises(ValueError):
         RunConfig.from_text("just some text\n")
 
@@ -110,6 +114,12 @@ def test_bernoulli_table_command(tmp_path):
         assert float(row["value"]) == pytest.approx(expected, rel=1e-8, abs=1e-12)
     # upwind rows are present
     assert any(r["eps"] == "0" for r in rows)
+    # the batched table prints what the scalar views give, row by row
+    views = {"b1": bernoulli1, "b2": bernoulli2, "b3": bernoulli3}
+    for row in rows:
+        args = [float(row[c]) for c in "str" if row[c]]
+        value = views[row["kernel"]](float(row["eps"]), *args)
+        assert row["value"] == f"{value:.9g}"
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -154,15 +164,14 @@ def test_exit_code_config_errors(tmp_path, capsys):
 
 def test_exit_code_numerical_failure(tmp_path, capsys):
     rc = main(["convergence", "--case", "grad2d", "--n", "16",
-               "--method", "iterative", "--tol", "1e-14", "--max-iter", "1",
-               "--outdir", str(tmp_path)])
+               "--tol", "1e-30", "--outdir", str(tmp_path)])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
 
 
 def test_exit_code_direct_residual_guard(tmp_path, capsys):
-    rc = main(["solve", "--case", "div2d", "--n", "4", "--method", "direct",
-               "--tol", "1e-30", "--outdir", str(tmp_path)])
+    rc = main(["solve", "--case", "div2d", "--n", "4", "--tol", "1e-30",
+               "--outdir", str(tmp_path)])
     assert rc == 3
     assert "residual" in capsys.readouterr().err
 

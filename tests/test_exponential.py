@@ -29,9 +29,6 @@ from safefem.exponential import (
     _SERIES_TERMS,
     _bernoulli,
     _dd_exp,
-    bernoulli1,
-    bernoulli2,
-    bernoulli3,
     averaged_coefficients,
     exp_average,
     local_exp_operators,
@@ -40,7 +37,13 @@ from safefem.mesh import build_unit_square_mesh, mesh_geometry
 from safefem.quadrature import simplex_rules
 from safefem.whitney import basis_values, local_incidence
 
-from conftest import random_cell_mesh, random_simplex
+from conftest import (
+    bernoulli1,
+    bernoulli2,
+    bernoulli3,
+    random_cell_mesh,
+    random_simplex,
+)
 
 # numerically exact reference points, worked out by hand from the defining
 # integral ratios

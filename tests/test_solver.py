@@ -9,7 +9,7 @@ from conftest import jittered_mesh
 from safefem import verify
 from safefem.assembly import SparseSystem, apply_essential_bc, assemble, assemble_load
 from safefem.mesh import build_unit_square_mesh
-from safefem.solver import SolveReport, SolverConfig, _nested_dissection, solve
+from safefem.solver import SolveReport, _nested_dissection, solve
 from safefem.whitney import dof_map, incidence
 
 ALL_SPECIES = [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3)]
@@ -45,21 +45,7 @@ def test_identity_system():
     x, report = solve(system)
     np.testing.assert_allclose(x, [3.0, -1.0])
     assert isinstance(report, SolveReport)
-    assert report.method == "direct"
     assert report.n_dofs == 2
-
-
-def test_direct_and_iterative_agree():
-    system = poisson_like_system()
-    xd, rd = solve(system, SolverConfig(method="direct"))
-    xi, ri = solve(system, SolverConfig(method="iterative", tol=1e-12))
-    assert rd.method == "direct"
-    assert ri.method == "iterative"
-    assert ri.iterations > 0
-    assert rd.fill > 0 and ri.fill is None
-    np.testing.assert_allclose(xi, xd, atol=1e-8)
-    # residual reported for the iterative run is small
-    assert ri.residual <= 1e-10
 
 
 def test_convection_dominated_solve_finite():
@@ -70,54 +56,25 @@ def test_convection_dominated_solve_finite():
     assert np.linalg.norm(resid) <= 1e-9 * max(np.linalg.norm(system.rhs), 1.0)
 
 
-def test_auto_method_picks_direct_for_small():
-    system = poisson_like_system(n=4)
-    _, report = solve(system)
-    assert report.method == "direct"
-
-
 def test_singular_matrix_raises():
     system = toy_system(np.zeros((2, 2)), [1.0, 0.0])
     with pytest.raises(RuntimeError):
         solve(system)
 
 
-def test_unknown_method_rejected():
-    system = toy_system(np.eye(2), [0.0, 0.0])
-    with pytest.raises(ValueError):
-        solve(system, SolverConfig(method="magic"))
-
-
-def test_iteration_cap_raises():
-    system = poisson_like_system(n=16, alpha=1.0)
-    with pytest.raises(RuntimeError):
-        solve(system, SolverConfig(method="iterative", tol=1e-14, max_iter=1))
-
-
-def test_gmres_cap_counts_inner_iterations(monkeypatch):
-    """A stalled GMRES run stops after max_iter inner iterations, not
-    max_iter restart cycles."""
-    steps = []
-    gmres = spla.gmres
-
-    def counting(*args, callback, **kwargs):
-        def cb(r):
-            steps.append(r)
-            callback(r)
-
-        return gmres(*args, callback=cb, **kwargs)
-
-    monkeypatch.setattr(spla, "gmres", counting)
-    case = verify.make_case("curl3d", 1.0, 1.0)
-    with pytest.raises(RuntimeError, match="40 inner iterations"):
-        verify.solve_case(case, 8, SolverConfig(method="iterative", max_iter=40))
-    assert 0 < len(steps) <= 40
-
-
 def test_direct_residual_guard_raises():
     system = poisson_like_system()
     with pytest.raises(RuntimeError, match="residual"):
-        solve(system, SolverConfig(method="direct", tol=1e-30))
+        solve(system, tol=1e-30)
+
+
+def test_default_route_beyond_old_limit():
+    """The face scheme past 200k DOFs (div2d, n = 272: 222,496 DOFs)
+    solves on the default route within the residual bound."""
+    _, _, report = verify.solve_case(verify.make_case("div2d", alpha=0.01), 272)
+    assert report.n_dofs > 200_000
+    assert report.residual <= 1e-10
+    assert report.fill > 0
 
 
 def colamd(system):
@@ -173,9 +130,9 @@ def test_first_separator_is_last_block(k):
 def test_benchmark_meshes_match_colamd(name, alpha, n, monkeypatch):
     systems = []
 
-    def capture(system, config=None):
+    def capture(system, tol):
         systems.append(system)
-        return solve(system, config)
+        return solve(system, tol=tol)
 
     monkeypatch.setattr(verify, "solve", capture)
     _, u, report = verify.solve_case(verify.make_case(name, alpha, 1.0), n)
