@@ -32,6 +32,7 @@ from .exponential import (
 )
 from .mesh import cell_blocks, local_subsimplices, mesh_geometry, opposite_vertices
 from .quadrature import (
+    cell_rules,
     reference_barycentric,
     reference_simplex_rule,
     simplex_measures,
@@ -185,6 +186,14 @@ _KERNEL_ARGS = {
 }
 
 
+def _form_args(n, k):
+    """The kernel index tables (P, Q) of the convective-diffusive form of
+    degree k on an n-simplex, raising where there is none."""
+    if (n, k) not in _KERNEL_ARGS:
+        raise ValueError(f"no convective-diffusive form for k={k} in dimension {n}")
+    return _KERNEL_ARGS[n, k]
+
+
 def safe_matrices(geo, k, eps, bbar):
     """Local convective-diffusive matrices of every cell of ``geo``,
     (ncells, nloc, nloc), for kernel parameters ``eps`` (ncells,) and
@@ -194,9 +203,7 @@ def safe_matrices(geo, k, eps, bbar):
     constant index tables (P, Q) select the distinct ones, and one kernel
     call serves the whole block."""
     n = geo.vertices.shape[2]
-    if (n, k) not in _KERNEL_ARGS:
-        raise ValueError(f"no convective-diffusive form for k={k} in dimension {n}")
-    P, Q = _KERNEL_ARGS[n, k]
+    P, Q = _form_args(n, k)
     S = np.vecdot(bbar[:, None, None], geo.tangents)
     vals = _bernoulli(eps[:, None], S[:, P, Q])
     if k == 0:
@@ -222,7 +229,7 @@ def _weighted_masses(geo, k, gamma, degree):
         if not np.isfinite(gamma):
             raise ValueError(f"gamma is not finite on cell {geo.cell_ids[0]}")
         return gamma * mass_matrices(geo, k)
-    pts, wts = simplex_rules(geo.vertices, degree)
+    pts, wts = cell_rules(geo, degree)
     gvals = _eval_at(gamma, pts)
     bad = np.nonzero(~np.all(np.isfinite(gvals), axis=1))[0]
     if bad.size:
@@ -253,12 +260,16 @@ def _assemble(mesh, geo, k, alpha, beta, gamma=0.0, scheme="primal", quad_degree
     if scheme not in ("primal", "dual"):
         raise ValueError(f"unknown scheme {scheme!r}")
     n = mesh.dim
+    # a block counts kernel rows, and quadrature points for callable coefficients
+    per_cell = len(_form_args(n, k)[0])
+    if callable(alpha) or callable(gamma):
+        per_cell = max(per_cell, reference_simplex_rule(n, quad_degree)[1].size)
     dm = dof_map(mesh, k)
     nloc = dm.cell_dofs.shape[1]
     ncells = mesh.num_cells
     blocks = np.empty((ncells, nloc, nloc))
     with_mass = callable(gamma) or float(np.asarray(gamma)) != 0.0
-    for cells in cell_blocks(ncells, reference_simplex_rule(n, quad_degree)[1].size):
+    for cells in cell_blocks(ncells, per_cell):
         block = geo[cells]
         eps, bbar = averaged_coefficients(block, alpha, beta, quad_degree)
         A = safe_matrices(block, k, eps, bbar)
@@ -305,18 +316,18 @@ def _assemble_load(mesh, geo, k, f, degree=4, neumann=None, g=None):
     """``assemble_load`` on the MeshGeometry ``geo`` of the mesh."""
     n = mesh.dim
     dm = dof_map(mesh, k)
-    rhs = np.zeros(dm.num_dofs)
+    loc = np.empty(dm.cell_dofs.shape)
     lam = reference_barycentric(n, degree)
     for cells in cell_blocks(mesh.num_cells, len(lam)):
         block = geo[cells]
-        pts, wts = simplex_rules(block.vertices, degree)
+        pts, wts = cell_rules(block, degree)
         # the basis is affine on each cell: the barycentric moments of f,
         # contracted with the basis values at the vertices
         fw = _eval_at(f, pts).reshape(pts.shape[:2] + (-1,)) * wts[..., None]
         vals = basis_values(block, k, block.vertices)
         vals = vals.reshape(vals.shape[:3] + (-1,))
-        loc = np.einsum("cvd,cvad->ca", lam.T @ fw, vals)
-        np.add.at(rhs, dm.cell_dofs[cells], loc)
+        loc[cells] = np.einsum("cvd,cvad->ca", lam.T @ fw, vals)
+    rhs = np.bincount(dm.cell_dofs.ravel(), loc.ravel(), dm.num_dofs)
     if neumann is not None:
         if g is None:
             raise ValueError("neumann facets given without boundary data g")

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .mesh import local_subsimplices
-from .quadrature import simplex_rules
+from .quadrature import cell_rules
 from .whitney import local_incidence
 
 # Rows and table windows whose spread is at most this take the series,
@@ -250,7 +250,7 @@ def averaged_coefficients(geo, alpha, beta, degree):
     fitted = alpha_c > 0
     alpha_bar = alpha_c
     if callable(alpha):
-        pts, wts = simplex_rules(geo.vertices, degree)
+        pts, wts = cell_rules(geo, degree)
         alpha_bar = np.vecdot(_eval_at(alpha, pts), wts) / geo.volume
     alpha_bar = np.where(fitted, alpha_bar, 0.0)
     ok = (alpha_c == 0) | ((alpha_bar > 0) & np.isfinite(alpha_bar) & np.isfinite(alpha_c))

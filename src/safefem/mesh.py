@@ -185,15 +185,17 @@ def build_unit_cube_mesh(n):
 
 
 # Whole-mesh passes work through the cells in consecutive blocks holding
-# at most this many quadrature points, so their per-point arrays stay a
-# few MB whatever the mesh size.
+# about this many quadrature points (or kernel rows), so their per-point
+# arrays stay a few MB whatever the mesh size.
 _BLOCK_POINTS = 8192
 
 
 def cell_blocks(num_cells, points_per_cell):
-    """Consecutive cell slices of at most ``_BLOCK_POINTS`` points each."""
-    size = max(1, _BLOCK_POINTS // points_per_cell)
-    return [slice(s, min(s + size, num_cells)) for s in range(0, num_cells, size)]
+    """Consecutive cell slices of near-equal size, as few as keep each
+    within one cell of ``_BLOCK_POINTS`` points."""
+    count = min(num_cells, -(-num_cells * points_per_cell // _BLOCK_POINTS))
+    bounds = (np.arange(count + 1) * num_cells // max(count, 1)).tolist()
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 @dataclass
@@ -233,16 +235,23 @@ def _geometry(mesh, cell_ids):
     n = mesh.dim
     cell_ids = np.asarray(cell_ids)
     verts = mesh.vertices[mesh.cells[cell_ids]]
-    mat = verts[:, 1:] - verts[:, :1]
-    volume = np.abs(np.linalg.det(mat)) / math.factorial(n)
-    scale = np.max(np.abs(mat), axis=(1, 2)) ** n
+    tangents = verts[:, None, :, :] - verts[:, :, None, :]
+    # grad lam_i, i >= 1, is the cofactor of the edge a_i - a_0 over the determinant:
+    # the other edge turned clockwise in 2d, the other two crossed cyclically in 3d
+    e = tangents[:, 0, 1:]
+    if n == 2:
+        cof = np.stack([e[:, 1, [1, 0]] * [1, -1], e[:, 0, [1, 0]] * [-1, 1]], axis=1)
+    else:
+        cof = np.cross(e[:, [1, 2, 0]], e[:, [2, 0, 1]])
+    det = np.vecdot(e[:, 0], cof[:, 0])
+    volume = np.abs(det) / math.factorial(n)
+    scale = np.max(np.abs(e), axis=(1, 2)) ** n
     bad = np.nonzero(~(volume > 1e-14 * np.maximum(scale, 1e-300)))[0]
     if bad.size:
         c = bad[0]
         raise ValueError(f"degenerate cell {cell_ids[c]}: measure {volume[c]}")
-    aug = np.concatenate([np.ones(verts.shape[:2] + (1,)), verts], axis=2)
-    lambda_grads = np.linalg.inv(aug)[:, 1:, :].transpose(0, 2, 1).copy()
-    tangents = verts[:, None, :, :] - verts[:, :, None, :]
+    cof /= det[:, None, None]
+    lambda_grads = np.concatenate([-cof.sum(axis=1, keepdims=True), cof], axis=1)
 
     facets = local_subsimplices(n, n - 1)
     edge = np.stack([tangents[:, f[0], f[1]] for f in facets], axis=1)
@@ -254,8 +263,9 @@ def _geometry(mesh, cell_ids):
         cross = np.cross(edge, other)
         measures = 0.5 * np.linalg.norm(cross, axis=2)
         normals = cross / (2.0 * measures[..., None])
-    mids = np.stack([verts[:, list(f)].mean(axis=1) for f in facets], axis=1)
-    outward = np.vecdot(normals, mids - verts[:, opposite_vertices(n)]) > 0
+    # the normal is orthogonal to its facet, so any facet vertex will do
+    opp = opposite_vertices(n)
+    outward = np.vecdot(normals, tangents[:, opp, [f[0] for f in facets]]) > 0
     return MeshGeometry(
         cell_ids=cell_ids,
         vertices=verts,

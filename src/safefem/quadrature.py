@@ -97,8 +97,18 @@ def simplex_rules(vertices, degree):
     m-dimensional measure of its simplex.
     """
     verts = np.asarray(vertices, dtype=float)
+    return _mapped_rules(verts, degree, simplex_measures(verts))
+
+
+def cell_rules(geo, degree):
+    """``simplex_rules`` on the cells of ``geo`` (a MeshGeometry), with
+    the weights scaled by its cell volumes."""
+    return _mapped_rules(geo.vertices, degree, geo.volume)
+
+
+def _mapped_rules(verts, degree, measures):
     m = verts.shape[1] - 1
     ref_pts, ref_wts = reference_simplex_rule(m, degree)
-    pts = verts[:, :1] + ref_pts @ (verts[:, 1:] - verts[:, :1])
-    ref_measure = 1.0 / math.factorial(m) if m > 0 else 1.0
-    return pts, ref_wts * (simplex_measures(verts) / ref_measure)[:, None]
+    edges = verts[:, 1:] - verts[:, :1]
+    pts = verts[:, :1] + np.tensordot(edges, ref_pts, axes=(1, 1)).transpose(0, 2, 1)
+    return pts, ref_wts * (math.factorial(m) * measures)[:, None]

@@ -27,7 +27,7 @@ from .mesh import (
     mesh_geometry,
     save_vtk,
 )
-from .quadrature import reference_simplex_rule, simplex_rules
+from .quadrature import cell_rules, reference_barycentric
 from .solver import solve
 from .whitney import basis_derivatives, basis_values, canonical_interpolate, dof_map
 
@@ -253,12 +253,12 @@ def error_norms(mesh, k, u_h, u_exact, du_exact=None, degree=4):
         raise ValueError("DOF vector length does not match the mesh")
     n = mesh.dim
     geo = mesh_geometry(mesh)
+    lam = reference_barycentric(n, degree)
     acc_l2 = 0.0
     acc_d = 0.0
-    for cells in cell_blocks(mesh.num_cells, reference_simplex_rule(n, degree)[1].size):
+    for cells in cell_blocks(mesh.num_cells, len(lam)):
         block = geo[cells]
-        pts, wts = simplex_rules(block.vertices, degree)
-        lam = basis_values(block, 0, pts, tol=1e-8)
+        pts, wts = cell_rules(block, degree)
         flat = pts.reshape(-1, n)
         coefs = u_h[dm.cell_dofs[cells]]
         ue = np.asarray(u_exact(flat), dtype=float).reshape(pts.shape[:2] + (-1,))
@@ -266,7 +266,7 @@ def error_norms(mesh, k, u_h, u_exact, du_exact=None, degree=4):
         vals = basis_values(block, k, block.vertices)
         vals = vals.reshape(vals.shape[:3] + (-1,))
         uh = lam @ np.einsum("cvad,ca->cvd", vals, coefs)
-        acc_l2 += float(np.sum(np.vecdot(wts, np.sum((uh - ue) ** 2, axis=2))))
+        acc_l2 += float(np.sum(wts[..., None] * (uh - ue) ** 2))
         if du_exact is not None:
             de = np.asarray(du_exact(flat), dtype=float).reshape(pts.shape[:2] + (-1,))
             dvals = basis_derivatives(block, k)
@@ -274,7 +274,7 @@ def error_norms(mesh, k, u_h, u_exact, du_exact=None, degree=4):
                 dh = (dvals.transpose(0, 2, 1) @ coefs[:, :, None])[:, None, :, 0]
             else:
                 dh = np.vecdot(dvals, coefs)[:, None, None]
-            acc_d += float(np.sum(np.vecdot(wts, np.sum((dh - de) ** 2, axis=2))))
+            acc_d += float(np.sum(wts[..., None] * (dh - de) ** 2))
     return ErrorNorms(math.sqrt(acc_l2), math.sqrt(acc_d) if du_exact is not None else None)
 
 

@@ -45,7 +45,7 @@ def dof_map(mesh, k):
         num_dofs=mesh.num_entities(k),
         cell_dofs=mesh.cell_entities[k],
         boundary=mesh.boundary[k].copy(),
-        points=mesh.vertices[mesh.simplices[k]].mean(axis=1),
+        points=sum(mesh.vertices[mesh.simplices[k][:, i]] for i in range(k + 1)) / (k + 1),
     )
 
 
@@ -113,7 +113,9 @@ def basis_values(geo, k, points, tol=None):
     """
     n = geo.vertices.shape[2]
     g = geo.lambda_grads
-    lam = 1.0 / (n + 1) + (points - geo.barycenter[:, None, :]) @ g.transpose(0, 2, 1)
+    # the facet and top-degree bases do not need the barycentrics
+    if tol is not None or k == 0 or (n == 3 and k == 1):
+        lam = 1.0 / (n + 1) + (points - geo.barycenter[:, None, :]) @ g.transpose(0, 2, 1)
     if tol is not None:
         outside = np.nonzero(((lam < -tol) | (lam > 1.0 + tol)).any(axis=(1, 2)))[0]
         if outside.size:
@@ -133,7 +135,7 @@ def basis_values(geo, k, points, tol=None):
                 lam[:, :, i, None] * g[:, None, j] - lam[:, :, j, None] * g[:, None, i]
             )
         return vals
-    vals = np.empty(lam.shape[:2] + (n + 1, n))
+    vals = np.empty(points.shape[:2] + (n + 1, n))
     for m, opp in enumerate(opposite_vertices(n)):
         coef = geo.facet_signs[:, m] / (n * geo.volume)
         vals[:, :, m, :] = coef[:, None, None] * (points - geo.vertices[:, None, opp])
@@ -227,26 +229,17 @@ def mass_matrices(geo, k):
             - C[:, J, P] * gg[:, I, Q]
             + C[:, J, Q] * gg[:, I, P]
         )
-    # facet space, from the moments s2 = int x.x dx and m1 = int x dx
-    signs = geo.facet_signs
-    verts = geo.vertices
-    vsum = verts.sum(axis=1)
-    squares = (verts * verts).reshape(len(vol), -1).sum(axis=1)
-    s2 = vol / ((n + 1) * (n + 2)) * (squares + np.vecdot(vsum, vsum))
-    m1 = vol[:, None] * geo.barycenter
-    opp = [verts[:, v] for v in opposite_vertices(n)]
-    scale = (n * vol) ** 2
-    M = np.empty((len(vol), n + 1, n + 1))
-    for a in range(n + 1):
-        for b in range(n + 1):
-            val = (
-                s2
-                - np.vecdot(opp[b], m1)
-                - np.vecdot(opp[a], m1)
-                + np.vecdot(opp[a], opp[b]) * vol
-            )
-            M[:, a, b] = signs[:, a] * signs[:, b] * val / scale
-    return M
+    # facet space: phi_a = s_a (x - a_o) / (n |T|), o opposite facet a.
+    # Affine f, g with vertex values f_i, g_i have int f.g = |T| (sum_i f_i.g_i
+    # + sum_i f_i . sum_i g_i) / ((n+1)(n+2)); the values here are offsets
+    # a_i - a_o, which keep every term O(h^2) wherever the cell lies
+    t = geo.tangents[:, opposite_vertices(n)]
+    flat = t.reshape(len(vol), n + 1, -1)
+    tsum = sum(t[:, :, i] for i in range(n + 1))
+    gram = flat @ flat.transpose(0, 2, 1) + tsum @ tsum.transpose(0, 2, 1)
+    signs = geo.facet_signs.astype(float)[:, :, None]
+    scale = (n + 1) * (n + 2) * n * n * vol
+    return signs * signs.transpose(0, 2, 1) * gram / scale[:, None, None]
 
 
 def stiffness_matrices(geo, k):

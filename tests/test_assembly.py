@@ -385,3 +385,15 @@ def test_assemble_rejects_nonfinite_gamma():
         gamma = lambda x: np.where(np.linalg.norm(x - xc, axis=1) < 0.1, np.nan, 1.0)
         with pytest.raises(ValueError, match=r"gamma is not finite on cell 5\b"):
             assemble(mesh, k, 1.0, beta, gamma)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_assemble_rejects_top_degree(dim):
+    # the piecewise constants have no convective-diffusive form; the
+    # check comes before anything is sized or evaluated
+    mesh = build_unit_square_mesh(2) if dim == 2 else build_unit_cube_mesh(1)
+    for alpha in (1.0, lambda x: 1.0 + x[:, 0]):
+        with pytest.raises(
+            ValueError, match=rf"no convective-diffusive form for k={dim} in dimension {dim}"
+        ):
+            assemble(mesh, dim, alpha, const_beta(np.ones(dim)))

@@ -125,6 +125,47 @@ def test_cube_mesh_spans_several_blocks():
     assert len(cell_blocks(mesh.num_cells, points)) > 1
 
 
+BUDGET_ALPHAS = {
+    "one": 1.0,
+    "small": 1e-3,
+    "zero": 0.0,
+    "callable": ALPHAS["callable"],
+}
+
+
+def max_rel(actual, reference):
+    return np.max(np.abs(actual - reference)) / np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("dim,k", ALL_SPECIES)
+def test_results_do_not_depend_on_the_block_budget(dim, k, monkeypatch):
+    # with constant coefficients the kernel-row budget puts these meshes
+    # into one or two blocks; a budget of 64 splits every pass into many
+    mesh = jittered_mesh(dim, 300 + 10 * dim + k)
+    beta = beta_field(dim)
+    f = scalar_field if k in (0, dim) else vector_field
+    df = vector_field if k == 0 or (dim == 3 and k == 1) else scalar_field
+    u_h = np.random.default_rng(k).standard_normal(mesh.num_entities(k))
+
+    def results():
+        mats = {}
+        if (dim, k) in CONVECTIVE_SPECIES:
+            mats = {
+                name: assemble(mesh, k, alpha, beta, 1.5).matrix.toarray()
+                for name, alpha in BUDGET_ALPHAS.items()
+            }
+        err = error_norms(mesh, k, u_h, f, df)
+        return mats, assemble_load(mesh, k, f), np.array([err.l2, err.d])
+
+    mats, load, norms = results()
+    monkeypatch.setattr("safefem.mesh._BLOCK_POINTS", 64)
+    small_mats, small_load, small_norms = results()
+    for name in mats:
+        assert max_rel(small_mats[name], mats[name]) <= 1e-15, name
+    assert max_rel(small_load, load) <= 1e-15
+    assert max_rel(small_norms, norms) <= 1e-14
+
+
 @pytest.mark.parametrize("gamma", sorted(GAMMAS))
 @pytest.mark.parametrize("alpha", sorted(ALPHAS))
 @pytest.mark.parametrize("dim,k", CONVECTIVE_SPECIES)

@@ -17,7 +17,7 @@ from safefem.mesh import (
 )
 from safefem.quadrature import simplex_measures
 
-from conftest import random_simplex, single_cell_mesh
+from conftest import jittered_mesh, random_simplex, single_cell_mesh
 
 
 def test_local_subsimplices():
@@ -230,6 +230,47 @@ def test_facet_normals_outward_and_unit(rng):
             assert geom.facet_measures[slot] == pytest.approx(
                 simplex_measures(fverts[None])[0], rel=1e-12
             )
+
+
+def reference_geometry(verts):
+    """lambda_grads from the inverse of the augmented vertex matrix and
+    facet_signs from the facet midpoints, for stacked cells (N, n+1, n)."""
+    n = verts.shape[2]
+    aug = np.concatenate([np.ones(verts.shape[:2] + (1,)), verts], axis=2)
+    grads = np.linalg.inv(aug)[:, 1:, :].transpose(0, 2, 1)
+    signs = []
+    for fac in local_subsimplices(n, n - 1):
+        opp = next(i for i in range(n + 1) if i not in fac)
+        edges = verts[:, list(fac[1:])] - verts[:, [fac[0]]]
+        if n == 2:
+            normal = np.column_stack([edges[:, 0, 1], -edges[:, 0, 0]])
+        else:
+            normal = np.cross(edges[:, 0], edges[:, 1])
+        mid = verts[:, list(fac)].mean(axis=1)
+        signs.append(np.where(np.vecdot(normal, mid - verts[:, opp]) > 0, 1, -1))
+    return grads, np.stack(signs, axis=1)
+
+
+# one tetrahedron of measure 2^-43 / 6, just above the degeneracy
+# threshold 1e-14 max|a_i - a_0|^3; the determinant 2^-43 is exact, while
+# the Gram determinant of simplex_measures rounds it away
+SLIVER = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 2.0**-43]])
+
+
+@pytest.mark.parametrize("mesh,measure", [
+    (jittered_mesh(2, 3), None),
+    (jittered_mesh(3, 4), None),
+    (single_cell_mesh(SLIVER), 2.0**-43 / 6),
+], ids=["jittered-2d", "jittered-3d", "sliver"])
+def test_geometry_matches_independent_reference(mesh, measure):
+    geo = mesh_geometry(mesh)
+    grads, signs = reference_geometry(geo.vertices)
+    scale = np.max(np.abs(grads), axis=(1, 2))
+    err = np.max(np.abs(geo.lambda_grads - grads), axis=(1, 2))
+    assert np.all(err <= 1e-13 * scale)
+    measures = simplex_measures(geo.vertices) if measure is None else measure
+    assert np.all(np.abs(geo.volume - measures) <= 1e-13 * measures)
+    np.testing.assert_array_equal(geo.facet_signs, signs)
 
 
 def test_degenerate_cell_rejected():

@@ -24,7 +24,7 @@ from safefem.whitney import (
     stiffness_matrices,
 )
 
-from conftest import random_cell_mesh, single_cell_mesh
+from conftest import jittered_mesh, random_cell_mesh, single_cell_mesh
 
 SPECIES = [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3)]
 
@@ -249,6 +249,11 @@ def test_local_mass_reference_triangle():
     M = mass_matrices(mesh_geometry(mesh), 0)[0]
     ref = (np.ones((3, 3)) + np.eye(3)) / 24.0
     np.testing.assert_allclose(M, ref, rtol=1e-13)
+    # the facet basis is +-(x - a_opp) / (2 |T|); the hypotenuse function
+    # is orthogonal to both others, and those zeros must come out exact
+    M = mass_matrices(mesh_geometry(mesh), 1)[0]
+    ref = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]]) / 6.0
+    np.testing.assert_allclose(M, ref, rtol=1e-15, atol=0.0)
 
 
 def quadrature_gram(mesh, k, use_d=False, degree=8):
@@ -322,3 +327,34 @@ def test_interpolation_error_decays(rng):
     assert 0.8 < rate < 1.3
     rate = np.log2(errors[1] / errors[2])
     assert 0.9 < rate < 1.2
+
+
+@pytest.mark.parametrize("shift", [10.0, 1e3])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_facet_mass_is_translation_stable(dim, shift):
+    # far from the origin the facet mass must not lose digits to
+    # cancellation between O(|x|^2) moments; the quadrature route works
+    # with O(h) offsets there
+    mesh = jittered_mesh(dim, 7 + dim)
+    mesh.vertices = mesh.vertices + shift
+    geo = mesh_geometry(mesh)
+    pts, wts = simplex_rules(geo.vertices, 2)
+    vals = basis_values(geo, dim - 1, pts)
+    ref = np.einsum("cq,cqad,cqbd->cab", wts, vals, vals)
+    M = mass_matrices(geo, dim - 1)
+    assert np.max(np.abs(M - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("mesh", [
+    build_unit_square_mesh(8, DIAG_LL_UR),
+    build_unit_square_mesh(8, DIAG_UL_LR),
+    build_unit_cube_mesh(4),
+], ids=["square-ll-ur", "square-ul-lr", "cube"])
+def test_facet_mass_zeros_are_exact(mesh):
+    # on grids with dyadic coordinates the vertex offsets and their
+    # products are exact, so orthogonal facet functions get an exact 0,
+    # which the constrained system then drops from its pattern
+    M = mass_matrices(mesh_geometry(mesh), mesh.dim - 1)
+    vanishing = np.abs(M) <= 1e-12 * np.abs(M).max()
+    assert vanishing.any()
+    np.testing.assert_array_equal(M[vanishing], 0.0)
