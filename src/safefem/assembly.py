@@ -105,14 +105,20 @@ def local_safe_oracle(geo, k, alpha_bar, theta_bar):
         W = np.zeros((4, 4))
         for a, b, e, *_ in _FACE_PAIRS:
             W[a, b] = omega[e]
-        signs = geom.facet_signs.astype(float)
-        n_out = signs[:, None] * geom.facet_normals
+        # area-weighted outward normal of each face, and the sign that
+        # turns its sorted-order normal outward
+        signs, n_out = np.zeros(4), np.zeros((4, 3))
+        faces = zip(local_subsimplices(3, 2), opposite_vertices(3))
+        for f, ((i, j, l), o) in enumerate(faces):
+            cross = np.cross(geom.tangents[i, j], geom.tangents[i, l])
+            signs[f] = np.sign(cross @ geom.tangents[o, i])
+            n_out[f] = 0.5 * signs[f] * cross
         P = np.zeros((3, 4))
         for fa in range(4):
             acc = np.zeros(3)
             for fb in range(4):
                 if fb != fa:
-                    acc += W[fa, fb] * (geom.facet_measures[fb] / geom.volume) * n_out[fb]
+                    acc += W[fa, fb] * n_out[fb] / geom.volume
             P[:, fa] = signs[fa] * acc
         return scale * (d @ (P @ J))
     if k == n - 1:
@@ -129,8 +135,6 @@ class SparseSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     dof_map: DofMap
-    k: int
-    scheme: str
 
 
 def _curl_tables():
@@ -251,14 +255,9 @@ def assemble(mesh, k, alpha, beta, gamma=0.0, scheme="primal", quad_degree=4):
 
     Returns a SparseSystem with a zero right-hand side.
     """
-    geo = mesh_geometry(mesh)
-    return _assemble(mesh, geo, k, alpha, beta, gamma, scheme, quad_degree)
-
-
-def _assemble(mesh, geo, k, alpha, beta, gamma=0.0, scheme="primal", quad_degree=4):
-    """``assemble`` on the MeshGeometry ``geo`` of the mesh."""
     if scheme not in ("primal", "dual"):
         raise ValueError(f"unknown scheme {scheme!r}")
+    geo = mesh_geometry(mesh)
     n = mesh.dim
     # a block counts kernel rows, and quadrature points for callable coefficients
     per_cell = len(_form_args(n, k)[0])
@@ -283,13 +282,7 @@ def _assemble(mesh, geo, k, alpha, beta, gamma=0.0, scheme="primal", quad_degree
     ).tocsr()
     if scheme == "dual":
         mat = mat.T.tocsr()
-    return SparseSystem(
-        matrix=mat,
-        rhs=np.zeros(dm.num_dofs),
-        dof_map=dm,
-        k=k,
-        scheme=scheme,
-    )
+    return SparseSystem(matrix=mat, rhs=np.zeros(dm.num_dofs), dof_map=dm)
 
 
 def _basis_integrals(fvals, wts, vals):
@@ -309,12 +302,8 @@ def assemble_load(mesh, k, f, degree=4, neumann=None, g=None):
     component, for the 3d edge space a vector integrated against the
     basis on the facet.
     """
-    return _assemble_load(mesh, mesh_geometry(mesh), k, f, degree, neumann, g)
-
-
-def _assemble_load(mesh, geo, k, f, degree=4, neumann=None, g=None):
-    """``assemble_load`` on the MeshGeometry ``geo`` of the mesh."""
     n = mesh.dim
+    geo = mesh_geometry(mesh)
     dm = dof_map(mesh, k)
     loc = np.empty(dm.cell_dofs.shape)
     lam = reference_barycentric(n, degree)
@@ -392,10 +381,4 @@ def apply_essential_bc(system, boundary_values):
     b = system.rhs - A @ xc
     A = keep @ A @ keep + sp.diags(mask.astype(float))
     b[mask] = xc[mask]
-    return SparseSystem(
-        matrix=A.tocsr(),
-        rhs=b,
-        dof_map=dm,
-        k=system.k,
-        scheme=system.scheme,
-    )
+    return SparseSystem(matrix=A.tocsr(), rhs=b, dof_map=dm)

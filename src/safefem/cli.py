@@ -35,8 +35,8 @@ from .verify import (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat run configuration; round-trips losslessly through the
-    ``key = value`` text form."""
+    """Flat run configuration, read from the ``key = value`` text of a
+    config file by ``from_text``."""
 
     case: str = "div2d"
     alpha: float = 1.0
@@ -50,15 +50,6 @@ class RunConfig:
     args_min: float = -10.0
     args_max: float = 10.0
     args_count: int = 9
-
-    def to_text(self):
-        out = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(repr(x) for x in v)
-            out.append(f"{f.name} = {v}")
-        return "\n".join(out) + "\n"
 
     @classmethod
     def from_text(cls, text):

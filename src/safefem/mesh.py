@@ -205,12 +205,10 @@ class MeshGeometry:
     Row c belongs to cell ``cell_ids[c]``: ``vertices`` (N, n+1, n),
     ``volume`` (N,), ``barycenter`` (N, n), ``lambda_grads`` (N, n+1, n),
     the offset table ``tangents`` (N, n+1, n+1, n) with
-    t[i, j] = a_j - a_i, and per local facet the unit ``facet_normals``
-    (N, n+1, n), ``facet_measures`` (N, n+1) and ``facet_signs`` (N, n+1),
-    +1 where the stored normal points out of the cell.  In 2d the stored
-    normals are the clockwise-rotated edge tangents, in 3d the
-    sorted-order face normals.  Indexing with a slice or an index array
-    selects cells; an integer index gives one cell without the cell axis.
+    t[i, j] = a_j - a_i, and per local facet ``facet_signs`` (N, n+1),
+    +1 where the facet's sorted-order normal (module docstring) points out
+    of the cell.  Indexing with a slice or an index array selects cells;
+    an integer index gives one cell without the cell axis.
     """
 
     cell_ids: np.ndarray
@@ -219,8 +217,6 @@ class MeshGeometry:
     barycenter: np.ndarray
     lambda_grads: np.ndarray
     tangents: np.ndarray
-    facet_normals: np.ndarray
-    facet_measures: np.ndarray
     facet_signs: np.ndarray
 
     def __getitem__(self, cells):
@@ -253,19 +249,11 @@ def _geometry(mesh, cell_ids):
     cof /= det[:, None, None]
     lambda_grads = np.concatenate([-cof.sum(axis=1, keepdims=True), cof], axis=1)
 
-    facets = local_subsimplices(n, n - 1)
-    edge = np.stack([tangents[:, f[0], f[1]] for f in facets], axis=1)
-    if n == 2:
-        measures = np.linalg.norm(edge, axis=2)
-        normals = np.stack([edge[..., 1], -edge[..., 0]], axis=2) / measures[..., None]
-    else:
-        other = np.stack([tangents[:, f[0], f[2]] for f in facets], axis=1)
-        cross = np.cross(edge, other)
-        measures = 0.5 * np.linalg.norm(cross, axis=2)
-        normals = cross / (2.0 * measures[..., None])
-    # the normal is orthogonal to its facet, so any facet vertex will do
-    opp = opposite_vertices(n)
-    outward = np.vecdot(normals, tangents[:, opp, [f[0] for f in facets]]) > 0
+    # facet m omits vertex n - m, and the facet's vertices followed by that
+    # vertex have orientation (-1)^m det; with the normal conventions above,
+    # the sorted-order normal points out of the cell where (-1)^(m+n) det > 0
+    parity = (-1) ** (np.arange(n + 1) + n)
+    facet_signs = (np.where(det > 0, 1, -1)[:, None] * parity).astype(np.int8)
     return MeshGeometry(
         cell_ids=cell_ids,
         vertices=verts,
@@ -273,9 +261,7 @@ def _geometry(mesh, cell_ids):
         barycenter=verts.mean(axis=1),
         lambda_grads=lambda_grads,
         tangents=tangents,
-        facet_normals=normals,
-        facet_measures=measures,
-        facet_signs=np.where(outward, 1, -1).astype(np.int8),
+        facet_signs=facet_signs,
     )
 
 

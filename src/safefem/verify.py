@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import apply_essential_bc
-# solve_case shares one mesh geometry between the matrix and the load
-# through the geometry-taking routines, bound under the layer names that
-# the traced run of bench/run.py times
-from .assembly import _assemble as assemble
-from .assembly import _assemble_load as assemble_load
+from .assembly import apply_essential_bc, assemble, assemble_load
 from .mesh import (
     DIAG_LL_UR,
     build_unit_cube_mesh,
@@ -285,12 +280,11 @@ def solve_case(case, n, tol=1e-10, quad_degree=4):
     Returns (mesh, dof vector, SolveReport).
     """
     mesh = case.build_mesh(n)
-    geo = mesh_geometry(mesh)
     system = assemble(
-        mesh, geo, case.k, case.alpha, case.beta, case.gamma,
+        mesh, case.k, case.alpha, case.beta, case.gamma,
         scheme=case.scheme, quad_degree=quad_degree,
     )
-    system.rhs = assemble_load(mesh, geo, case.k, case.f, degree=quad_degree)
+    system.rhs = assemble_load(mesh, case.k, case.f, degree=quad_degree)
     flagged = np.nonzero(system.dof_map.boundary)[0]
     if case.u_exact is None:
         values = {int(d): 0.0 for d in flagged}

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from safefem.exponential import _bernoulli
-from safefem.mesh import _build_complex, build_unit_cube_mesh, build_unit_square_mesh
+from safefem.mesh import (
+    _build_complex,
+    build_unit_cube_mesh,
+    build_unit_square_mesh,
+    local_subsimplices,
+)
 from safefem.quadrature import simplex_measures
 
 
@@ -42,6 +47,24 @@ def single_cell_mesh(vertices):
     dim = vertices.shape[1]
     cells = np.arange(dim + 1, dtype=np.int64)[None, :]
     return _build_complex(dim, vertices, cells)
+
+
+def facet_normals(geo):
+    """Unit sorted-order facet normals (..., n+1, n) and facet measures
+    (..., n+1) of a MeshGeometry block or one cell of it, from its
+    vertices: in 2d the edge tangent turned clockwise, in 3d the cross
+    product of the two edges from the facet's lowest vertex."""
+    v = geo.vertices
+    n = v.shape[-1]
+    facets = np.array(local_subsimplices(n, n - 1))
+    t = v[..., facets[:, 1:], :] - v[..., facets[:, :1], :]
+    if n == 2:
+        normal = np.stack([t[..., 0, 1], -t[..., 0, 0]], axis=-1)
+        measures = np.linalg.norm(normal, axis=-1)
+    else:
+        normal = np.cross(t[..., 0, :], t[..., 1, :])
+        measures = 0.5 * np.linalg.norm(normal, axis=-1)
+    return normal / np.linalg.norm(normal, axis=-1, keepdims=True), measures
 
 
 def random_cell_mesh(rng, dim, scale=1.0):

@@ -36,6 +36,7 @@ from conftest import (
     bernoulli1,
     bernoulli2,
     bernoulli3,
+    facet_normals,
     random_cell_mesh,
     random_simplex,
     single_cell_mesh,
@@ -158,6 +159,7 @@ def test_criterion_5_structure_identities(rng):
         worst_edge = max(worst_edge, abs(acc - np.eye(dim)).max())
         if dim == 3:
             signs = geom.facet_signs
+            normals, measures = facet_normals(geom)
             acc = np.zeros((3, 3))
             for a in range(4):
                 for b in range(4):
@@ -169,8 +171,8 @@ def test_criterion_5_structure_identities(rng):
                     )
                     cr = np.cross(g[i], g[j])
                     w = -2.0 * geom.volume * (cr @ cr)
-                    na = signs[a] * geom.facet_normals[a] * geom.facet_measures[a]
-                    nb = signs[b] * geom.facet_normals[b] * geom.facet_measures[b]
+                    na = signs[a] * normals[a] * measures[a]
+                    nb = signs[b] * normals[b] * measures[b]
                     acc += w * np.outer(na, nb) / geom.volume
             worst_face = max(worst_face, abs(acc - np.eye(3)).max())
     identities_ok = worst_edge <= 1e-12 and worst_face <= 1e-12

@@ -30,7 +30,7 @@ from safefem.whitney import (
     stiffness_matrices,
 )
 
-from conftest import random_cell_mesh, random_simplex, single_cell_mesh
+from conftest import facet_normals, random_cell_mesh, random_simplex, single_cell_mesh
 
 CONVECTIVE_SPECIES = [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
 
@@ -96,13 +96,14 @@ def test_face_pair_weight_identity(rng):
         geom = geo[0]
         W = face_pair_table(geo)
         signs = geom.facet_signs
+        normals, measures = facet_normals(geom)
         acc = np.zeros((3, 3))
         for a in range(4):
             for b in range(4):
                 if a == b:
                     continue
-                na = signs[a] * geom.facet_normals[a] * geom.facet_measures[a]
-                nb = signs[b] * geom.facet_normals[b] * geom.facet_measures[b]
+                na = signs[a] * normals[a] * measures[a]
+                nb = signs[b] * normals[b] * measures[b]
                 acc += W[a, b] * np.outer(na, nb) / geom.volume
         np.testing.assert_allclose(acc, np.eye(3), atol=1e-12)
 

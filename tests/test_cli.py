@@ -5,6 +5,7 @@ import csv
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -14,26 +15,32 @@ from safefem.cli import RunConfig, main
 from conftest import bernoulli1, bernoulli2, bernoulli3
 
 
-def test_run_config_round_trip():
-    cfg = RunConfig(case="grad2d", alpha=0.01, ns=(2, 4), eps=(0.0, 1.0),
-                    outdir="/tmp", tol=1e-12)
-    again = RunConfig.from_text(cfg.to_text())
-    assert again == cfg
-
-
 def test_run_config_parses_comments_and_types():
     text = """
     # comment line
     case = grad2d
     alpha = 0.25   # trailing comment
+    gamma = 2
     ns = 2,4,8
+    n = 12
+    diagonal = upper-left-to-lower-right
+    outdir = out/run
+    tol = 1e-12
     eps = 0,1e-8
+    args_min = -3
+    args_max = 4.5
+    args_count = 7
     """
     cfg = RunConfig.from_text(text)
-    assert cfg.case == "grad2d"
-    assert cfg.alpha == 0.25
-    assert cfg.ns == (2, 4, 8)
-    assert cfg.eps == (0.0, 1e-8)
+    assert cfg == RunConfig(
+        case="grad2d", alpha=0.25, gamma=2.0, ns=(2, 4, 8), n=12,
+        diagonal="upper-left-to-lower-right", outdir="out/run", tol=1e-12,
+        eps=(0.0, 1e-8), args_min=-3.0, args_max=4.5, args_count=7,
+    )
+    # every field is set, and to a value other than its default
+    assert all(getattr(cfg, f.name) != f.default for f in fields(RunConfig))
+    assert [type(getattr(cfg, f.name)) for f in fields(RunConfig)] == [
+        type(f.default) for f in fields(RunConfig)]
 
 
 def test_run_config_rejects_unknown_keys():

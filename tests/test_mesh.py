@@ -13,11 +13,12 @@ from safefem.mesh import (
     build_unit_square_mesh,
     local_subsimplices,
     mesh_geometry,
+    opposite_vertices,
     save_vtk,
 )
 from safefem.quadrature import simplex_measures
 
-from conftest import jittered_mesh, random_simplex, single_cell_mesh
+from conftest import facet_normals, jittered_mesh, random_simplex, single_cell_mesh
 
 
 def test_local_subsimplices():
@@ -213,23 +214,25 @@ def test_cell_geometry_identities(rng):
         np.testing.assert_allclose(geom.lambda_grads.sum(axis=0), 0.0, atol=1e-12)
 
 
-def test_facet_normals_outward_and_unit(rng):
-    for dim in (2, 3):
-        geom = mesh_geometry(single_cell_mesh(random_simplex(rng, dim)))[0]
+def test_facet_normals_outward_and_unit():
+    # facet_signs turns each facet's sorted-order normal away from the
+    # opposite vertex, on cells of both orientations
+    for dim, seed in ((2, 5), (3, 6)):
+        geo = mesh_geometry(jittered_mesh(dim, seed))
+        v = geo.vertices
+        det = np.linalg.det(v[:, 1:] - v[:, :1])
+        assert np.any(det > 0) and np.any(det < 0)
+        normals, measures = facet_normals(geo)
+        np.testing.assert_allclose(np.linalg.norm(normals, axis=2), 1.0, rtol=1e-13)
         locs = local_subsimplices(dim, dim - 1)
-        for slot, loc in enumerate(locs):
-            nvec = geom.facet_normals[slot]
-            assert np.linalg.norm(nvec) == pytest.approx(1.0, rel=1e-13)
-            # normal is orthogonal to the facet
-            fverts = geom.vertices[list(loc)]
-            for tang in fverts[1:] - fverts[0]:
-                assert nvec @ tang == pytest.approx(0.0, abs=1e-12)
-        # facet measures agree with direct computation
-        for slot, loc in enumerate(locs):
-            fverts = geom.vertices[list(loc)]
-            assert geom.facet_measures[slot] == pytest.approx(
-                simplex_measures(fverts[None])[0], rel=1e-12
-            )
+        for slot, (loc, opp) in enumerate(zip(locs, opposite_vertices(dim))):
+            fverts = v[:, list(loc)]
+            # the normal is orthogonal to the facet
+            tangents = fverts[:, 1:] - fverts[:, :1]
+            assert np.all(np.abs(np.vecdot(normals[:, None, slot], tangents)) <= 1e-12)
+            away = fverts[:, 0] - v[:, opp]
+            assert np.all(geo.facet_signs[:, slot] * np.vecdot(normals[:, slot], away) > 0)
+            np.testing.assert_allclose(measures[:, slot], simplex_measures(fverts), rtol=1e-12)
 
 
 def reference_geometry(verts):

@@ -27,7 +27,7 @@ def toy_system(matrix, rhs):
     dm = dof_map(mesh, 2)  # 2 cells, matches a 2x2 system
     return SparseSystem(
         matrix=sp.csr_matrix(matrix), rhs=np.asarray(rhs, dtype=float),
-        dof_map=dm, k=2, scheme="primal",
+        dof_map=dm,
     )
 
 
