@@ -32,9 +32,9 @@ from .exponential import (
 )
 from .mesh import cell_blocks, local_subsimplices, mesh_geometry, opposite_vertices
 from .quadrature import (
+    QUAD_DEGREE,
     cell_rules,
     reference_barycentric,
-    reference_simplex_rule,
     simplex_measures,
     simplex_rules,
 )
@@ -225,7 +225,7 @@ def safe_matrices(geo, k, eps, bbar):
     return (coef @ _CURL_MAP).reshape(-1, 6, 6)
 
 
-def _weighted_masses(geo, k, gamma, degree):
+def _weighted_masses(geo, k, gamma):
     """Local mass matrices of a block weighted by the reaction
     coefficient."""
     if not callable(gamma):
@@ -233,7 +233,7 @@ def _weighted_masses(geo, k, gamma, degree):
         if not np.isfinite(gamma):
             raise ValueError(f"gamma is not finite on cell {geo.cell_ids[0]}")
         return gamma * mass_matrices(geo, k)
-    pts, wts = cell_rules(geo, degree)
+    pts, wts = cell_rules(geo)
     gvals = _eval_at(gamma, pts)
     bad = np.nonzero(~np.all(np.isfinite(gvals), axis=1))[0]
     if bad.size:
@@ -245,7 +245,7 @@ def _weighted_masses(geo, k, gamma, degree):
     return np.einsum("cq,cqad,cqbd->cab", gvals, vals, vals)
 
 
-def assemble(mesh, k, alpha, beta, gamma=0.0, scheme="primal", quad_degree=4):
+def assemble(mesh, k, alpha, beta, gamma=0.0, scheme="primal"):
     """Assemble the global convective-diffusive(-reactive) matrix.
 
     ``alpha`` is a nonnegative constant or vectorized callable.  Cells
@@ -262,7 +262,7 @@ def assemble(mesh, k, alpha, beta, gamma=0.0, scheme="primal", quad_degree=4):
     # a block counts kernel rows, and quadrature points for callable coefficients
     per_cell = len(_form_args(n, k)[0])
     if callable(alpha) or callable(gamma):
-        per_cell = max(per_cell, reference_simplex_rule(n, quad_degree)[1].size)
+        per_cell = max(per_cell, len(reference_barycentric(n)))
     dm = dof_map(mesh, k)
     nloc = dm.cell_dofs.shape[1]
     ncells = mesh.num_cells
@@ -270,10 +270,10 @@ def assemble(mesh, k, alpha, beta, gamma=0.0, scheme="primal", quad_degree=4):
     with_mass = callable(gamma) or float(np.asarray(gamma)) != 0.0
     for cells in cell_blocks(ncells, per_cell):
         block = geo[cells]
-        eps, bbar = averaged_coefficients(block, alpha, beta, quad_degree)
+        eps, bbar = averaged_coefficients(block, alpha, beta)
         A = safe_matrices(block, k, eps, bbar)
         if with_mass:
-            A = A + _weighted_masses(block, k, gamma, quad_degree)
+            A = A + _weighted_masses(block, k, gamma)
         blocks[cells] = A
     rows = np.repeat(dm.cell_dofs, nloc, axis=1).ravel()
     cols = np.tile(dm.cell_dofs, (1, nloc)).ravel()
@@ -293,7 +293,7 @@ def _basis_integrals(fvals, wts, vals):
     return np.einsum("cqd,cqad->ca", fvals * wts[..., None], vals)
 
 
-def assemble_load(mesh, k, f, degree=4, neumann=None, g=None):
+def assemble_load(mesh, k, f, neumann=None, g=None):
     """Load vector of (f, phi_S) plus optional natural boundary data.
 
     ``neumann`` is an iterable of boundary facet ids paired with the
@@ -306,10 +306,10 @@ def assemble_load(mesh, k, f, degree=4, neumann=None, g=None):
     geo = mesh_geometry(mesh)
     dm = dof_map(mesh, k)
     loc = np.empty(dm.cell_dofs.shape)
-    lam = reference_barycentric(n, degree)
+    lam = reference_barycentric(n)
     for cells in cell_blocks(mesh.num_cells, len(lam)):
         block = geo[cells]
-        pts, wts = cell_rules(block, degree)
+        pts, wts = cell_rules(block)
         # the basis is affine on each cell: the barycentric moments of f,
         # contracted with the basis values at the vertices
         fw = _eval_at(f, pts).reshape(pts.shape[:2] + (-1,)) * wts[..., None]
@@ -320,11 +320,11 @@ def assemble_load(mesh, k, f, degree=4, neumann=None, g=None):
     if neumann is not None:
         if g is None:
             raise ValueError("neumann facets given without boundary data g")
-        rhs += _natural_boundary_load(mesh, geo, k, neumann, g, degree)
+        rhs += _natural_boundary_load(mesh, geo, k, neumann, g)
     return rhs
 
 
-def _natural_boundary_load(mesh, geo, k, facet_ids, g, degree):
+def _natural_boundary_load(mesh, geo, k, facet_ids, g):
     n = mesh.dim
     if not (k in (0, n - 1) or (k == 1 and n == 3)):
         raise ValueError(f"no natural boundary pairing for k={k}")
@@ -339,7 +339,7 @@ def _natural_boundary_load(mesh, geo, k, facet_ids, g, degree):
     facet_cell[cell_facets.ravel()] = np.repeat(np.arange(mesh.num_cells), n + 1)
     cells = facet_cell[fids]
     fverts = mesh.vertices[mesh.simplices[n - 1][fids]]
-    pts, wts = simplex_rules(fverts, degree)
+    pts, wts = simplex_rules(fverts, QUAD_DEGREE)
     gvals = _eval_at(g, pts)
     if k == n - 1:
         slots = np.argmax(cell_facets[cells] == fids[:, None], axis=1)

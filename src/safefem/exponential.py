@@ -11,9 +11,10 @@ The kernels
 
 (the numerator runs over the sub-simplex spanned by all arguments but the
 last) are evaluated as ratios of divided differences: on a clustered row
-both come from one series, and wider rows are shifted by their largest
-exponent, which keeps them finite for argument-to-eps ratios far beyond
-1e6 and reproduces the upwind limits at eps = 0 exactly.
+both come from one series, and a wider row is its upwind limit plus a
+nonnegative correction from one Newton table on its exponents shifted by
+the largest one, which keeps it finite for argument-to-eps ratios far
+beyond 1e6; at eps = 0 the upwind limits are exact.
 """
 
 import functools
@@ -105,7 +106,9 @@ def _dd_exp_series(win, c, half):
 
 def _dd_exp_table(z):
     """exp[z_0..z_m] of the sorted rows of ``z`` (N, m+1) whose spread
-    exceeds ``_SERIES_SPREAD``, by one Newton table along each row.
+    exceeds ``_SERIES_SPREAD``, by one Newton table along each row;
+    returned with the left child exp[z_0..z_{m-1}] of that top window,
+    which the table always evaluates, as the top window is far.
 
     A far window takes the recursion from its two children.  A near
     window takes the series, but only where a parent uses its value;
@@ -114,6 +117,7 @@ def _dd_exp_table(z):
     col = np.exp(z)
     m = z.shape[-1] - 1
     for l in range(1, m + 1):
+        left = col[:, 0]
         win = np.lib.stride_tricks.sliding_window_view(z, l + 1, axis=-1)
         spread = win[..., -1] - win[..., 0]
         far = spread > _SERIES_SPREAD
@@ -128,7 +132,7 @@ def _dd_exp_table(z):
             col[need] = _dd_exp_series(
                 near, 0.5 * (near[:, 0] + near[:, -1]), 0.5 * (near[:, -1] - near[:, 0])
             )
-    return col[:, 0]
+    return col[:, 0], left
 
 
 def _dd_exp(w):
@@ -147,7 +151,7 @@ def _dd_exp(w):
     c = 0.5 * lo[top]
     d[top] = _dd_exp_series(np.compress(top, z, axis=0), c, -c)
     if not np.all(top):
-        d[~top] = _dd_exp_table(np.sort(np.compress(~top, z, axis=0), axis=-1))
+        d[~top] = _dd_exp_table(np.sort(np.compress(~top, z, axis=0), axis=-1))[0]
     return mu, d.reshape(mu.shape)
 
 
@@ -175,8 +179,9 @@ def _bernoulli(eps, args):
     arguments.
 
     A row whose exponents [0, args/eps] span at most ``_SERIES_SPREAD``
-    takes one series for numerator and denominator; a wider row takes two
-    shifted divided differences.
+    takes one series for numerator and denominator; a wider row is its
+    upwind limit plus a correction from one Newton table on its exponents
+    shifted by the largest one.
     """
     args = np.asarray(args, dtype=float)
     shape, j = args.shape[:-1], args.shape[-1]
@@ -195,6 +200,17 @@ def _bernoulli(eps, args):
         near = hi - lo <= _SERIES_SPREAD
         # past the guard the relative distance to the limit is below resolution
         wide = ~near & (hi <= _LIMIT_GUARD) & (lo >= -_LIMIT_GUARD)
+    if np.any(wide):
+        # S = [0, y_1..y_j], m = max S: (a - b) exp[S] = exp[S \ b] -
+        # exp[S \ a] (McCurdy, Ng & Parlett) makes the numerator exp[S \ y_j]
+        # = exp[S \ m] + (m - y_j) exp[S], so B_j is the upwind limit
+        # eps (m - y_j)/j in ``out`` plus eps exp[S \ m] / (j exp[S]), where
+        # exp[S \ m] is the left child of the table's top on sorted S - m
+        z = np.zeros((np.count_nonzero(wide), j + 1))
+        z[:, 1:] = np.compress(wide, ys, axis=0)
+        z -= hi[wide, None]
+        den, num = _dd_exp_table(np.sort(z, axis=-1))
+        out[wide] += eps[wide] * num / (j * den)
     if np.any(near):
         # one series about the midpoint c of the denominator row
         # [0, y_1..y_j], whose prefix [0, y_1..y_{j-1}] is the numerator
@@ -207,15 +223,6 @@ def _bernoulli(eps, args):
         np.subtract(np.compress(near, ys, axis=0).T, c, out=x[1:])
         num, den = _series(x, 0.5 * (hi - lo), prefix=True)
         out[near] = eps[near] * num / den
-    if np.any(wide):
-        yw = np.compress(wide, ys, axis=0)
-        zero = np.zeros((len(yw), 1))
-        mu_n, d_n = _dd_exp(np.concatenate([zero, yw[:, :-1]], axis=1))
-        mu_d, d_d = _dd_exp(np.concatenate([zero, yw], axis=1))
-        # mu_n <= mu_d since the numerator runs over a sub-simplex, so the
-        # exponential factor never overflows and vanishes exactly where the
-        # limit value is zero; the averages are (j-1)! d_n and j! d_d
-        out[wide] = eps[wide] * np.exp(mu_n - mu_d) * d_n / (j * d_d)
     return out.reshape(shape)
 
 
@@ -231,7 +238,7 @@ def _eval_at(coeff, points):
     return vals.reshape(points.shape[:-1] + vals.shape[1:])
 
 
-def averaged_coefficients(geo, alpha, beta, degree):
+def averaged_coefficients(geo, alpha, beta):
     """Kernel parameters (alpha_bar, beta_bar) of every cell of ``geo`` (a
     MeshGeometry), shaped (ncells,) and (ncells, n).
 
@@ -250,7 +257,7 @@ def averaged_coefficients(geo, alpha, beta, degree):
     fitted = alpha_c > 0
     alpha_bar = alpha_c
     if callable(alpha):
-        pts, wts = cell_rules(geo, degree)
+        pts, wts = cell_rules(geo)
         alpha_bar = np.vecdot(_eval_at(alpha, pts), wts) / geo.volume
     alpha_bar = np.where(fitted, alpha_bar, 0.0)
     ok = (alpha_c == 0) | ((alpha_bar > 0) & np.isfinite(alpha_bar) & np.isfinite(alpha_c))

@@ -55,8 +55,6 @@ class MeshComplex:
     boundary : dict
         Maps k to a boolean array flagging entities contained in the
         domain boundary.
-    diagonal : str or None
-        Diagonal convention used by the 2d builder, bookkeeping only.
     """
 
     dim: int
@@ -64,7 +62,6 @@ class MeshComplex:
     simplices: dict = field(default_factory=dict)
     cell_entities: dict = field(default_factory=dict)
     boundary: dict = field(default_factory=dict)
-    diagonal: str | None = None
 
     def num_entities(self, k):
         return self.simplices[k].shape[0]
@@ -78,7 +75,7 @@ class MeshComplex:
         return self.simplices[self.dim]
 
 
-def _build_complex(dim, vertices, cells, diagonal=None):
+def _build_complex(dim, vertices, cells):
     cells = np.asarray(cells, dtype=np.int64)
     cells = np.sort(cells, axis=1)
     simplices = {0: np.arange(vertices.shape[0], dtype=np.int64)[:, None]}
@@ -127,7 +124,6 @@ def _build_complex(dim, vertices, cells, diagonal=None):
         simplices=simplices,
         cell_entities=cell_entities,
         boundary=boundary,
-        diagonal=diagonal,
     )
 
 
@@ -155,7 +151,7 @@ def build_unit_square_mesh(n, diagonal=DIAG_LL_UR):
     else:
         pair = [(v00, v10, v01), (v10, v11, v01)]
     cells = np.stack([np.stack(tri, axis=1) for tri in pair], axis=1)
-    return _build_complex(2, vertices, cells.reshape(-1, 3), diagonal=diagonal)
+    return _build_complex(2, vertices, cells.reshape(-1, 3))
 
 
 def build_unit_cube_mesh(n):
@@ -258,7 +254,7 @@ def _geometry(mesh, cell_ids):
         cell_ids=cell_ids,
         vertices=verts,
         volume=volume,
-        barycenter=verts.mean(axis=1),
+        barycenter=sum(verts[:, i] for i in range(n + 1)) / (n + 1),
         lambda_grads=lambda_grads,
         tangents=tangents,
         facet_signs=facet_signs,

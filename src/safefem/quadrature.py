@@ -10,6 +10,9 @@ from functools import lru_cache
 
 import numpy as np
 
+# Polynomial degree of the rules on every cell and boundary facet of a mesh
+QUAD_DEGREE = 4
+
 
 def gauss_legendre_01(npts):
     """Gauss-Legendre nodes and weights on [0, 1]."""
@@ -69,12 +72,12 @@ def reference_simplex_rule(dim, degree):
 
 
 @lru_cache(maxsize=None)
-def reference_barycentric(dim, degree):
+def reference_barycentric(dim):
     """Barycentric coordinates (npts, dim+1) of the points of
-    ``reference_simplex_rule(dim, degree)``: (1 - sum xi, xi_1, ..., xi_dim).
-    They are also the barycentric coordinates of the points that
-    ``simplex_rules`` maps into any physical simplex."""
-    pts, _ = reference_simplex_rule(dim, degree)
+    ``reference_simplex_rule(dim, QUAD_DEGREE)``: (1 - sum xi, xi_1, ...,
+    xi_dim).  They are also the barycentric coordinates of the points that
+    ``cell_rules`` maps into any cell."""
+    pts, _ = reference_simplex_rule(dim, QUAD_DEGREE)
     return np.column_stack([1.0 - pts.sum(axis=1), pts])
 
 
@@ -100,10 +103,10 @@ def simplex_rules(vertices, degree):
     return _mapped_rules(verts, degree, simplex_measures(verts))
 
 
-def cell_rules(geo, degree):
-    """``simplex_rules`` on the cells of ``geo`` (a MeshGeometry), with
-    the weights scaled by its cell volumes."""
-    return _mapped_rules(geo.vertices, degree, geo.volume)
+def cell_rules(geo):
+    """``simplex_rules`` of degree ``QUAD_DEGREE`` on the cells of ``geo``
+    (a MeshGeometry), with the weights scaled by its cell volumes."""
+    return _mapped_rules(geo.vertices, QUAD_DEGREE, geo.volume)
 
 
 def _mapped_rules(verts, degree, measures):

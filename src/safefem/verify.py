@@ -38,7 +38,6 @@ class ManufacturedCase:
     dim: int
     k: int
     scheme: str
-    operator: str
     alpha: float
     gamma: float
     beta: object
@@ -152,12 +151,12 @@ def make_case(name, alpha=1.0, gamma=1.0, diagonal=DIAG_LL_UR):
             return (alpha * dim * np.pi**2 + gamma) * u - np.vecdot(beta(P), grad)
 
         return ManufacturedCase(
-            name, dim, 0, "primal", "grad-primal", alpha, gamma, beta=beta, f=f,
+            name, dim, 0, "primal", alpha, gamma, beta=beta, f=f,
             u_exact=_sines, du_exact=_sines_grad, diagonal=diagonal,
         )
     if name == "div2d":
         return ManufacturedCase(
-            name, 2, 1, "primal", "div-primal", alpha, gamma, beta=_rotation,
+            name, 2, 1, "primal", alpha, gamma, beta=_rotation,
             f=lambda P: _div2d_load(P, alpha, gamma),
             u_exact=_div2d_u, du_exact=_div2d_div, diagonal=diagonal,
         )
@@ -167,12 +166,12 @@ def make_case(name, alpha=1.0, gamma=1.0, diagonal=DIAG_LL_UR):
             return (alpha + gamma) * _curl3d_u(P) - np.cross(_cyclic(P), _curl3d_curl(P))
 
         return ManufacturedCase(
-            name, 3, 1, "dual", "curl-dual", alpha, gamma, beta=_cyclic, f=f,
+            name, 3, 1, "dual", alpha, gamma, beta=_cyclic, f=f,
             u_exact=_curl3d_u, du_exact=_curl3d_curl, diagonal=diagonal,
         )
     if name == "div2d-stability":
         return ManufacturedCase(
-            name, 2, 1, "primal", "div-primal", alpha, gamma, beta=_rotation,
+            name, 2, 1, "primal", alpha, gamma, beta=_rotation,
             f=lambda P: np.ones((np.asarray(P).shape[0], 2)),
             diagonal=diagonal,
         )
@@ -192,13 +191,15 @@ def _fd_jacobian(fn, x, step):
 
 def strong_residual(case, points, step=1e-5):
     """Max deviation |L u - f| of the strong operator applied to the
-    exact solution by nested central differences."""
+    exact solution by nested central differences; the operator is the
+    form of the case's (dimension, degree): grad for k = 0, div for
+    (2, 1) and curl for (3, 1)."""
     if case.u_exact is None:
         raise ValueError(f"case {case.name} has no exact solution")
     worst = 0.0
     al, ga = case.alpha, case.gamma
     for x in np.atleast_2d(points):
-        if case.operator == "grad-primal":
+        if case.k == 0:
             def flux(P):
                 P = np.atleast_2d(P)
                 grads = np.array([
@@ -209,7 +210,7 @@ def strong_residual(case, points, step=1e-5):
             jac = _fd_jacobian(flux, x, step)
             val = -np.trace(jac) + ga * case.u_exact(x[None])[0]
             ref = case.f(x[None])[0]
-        elif case.operator == "div-primal":
+        elif (case.dim, case.k) == (2, 1):
             def pres(P):
                 P = np.atleast_2d(P)
                 divs = np.array([np.trace(_fd_jacobian(case.u_exact, p, step)) for p in P])
@@ -217,7 +218,7 @@ def strong_residual(case, points, step=1e-5):
             jac = _fd_jacobian(pres, x, step)
             val = -jac[0] + ga * case.u_exact(x[None])[0]
             ref = case.f(x[None])[0]
-        elif case.operator == "curl-dual":
+        elif (case.dim, case.k) == (3, 1):
             def curl_of(fn, p):
                 J = _fd_jacobian(fn, p, step)
                 return np.array([J[2, 1] - J[1, 2], J[0, 2] - J[2, 0], J[1, 0] - J[0, 1]])
@@ -229,7 +230,7 @@ def strong_residual(case, points, step=1e-5):
             val = cc - np.cross(bx, wx) + ga * case.u_exact(x[None])[0]
             ref = case.f(x[None])[0]
         else:
-            raise ValueError(f"unknown operator {case.operator!r}")
+            raise ValueError(f"no strong operator for k={case.k} in dimension {case.dim}")
         worst = max(worst, float(np.max(np.abs(val - ref))))
     return worst
 
@@ -240,7 +241,7 @@ class ErrorNorms:
     d: float | None
 
 
-def error_norms(mesh, k, u_h, u_exact, du_exact=None, degree=4):
+def error_norms(mesh, k, u_h, u_exact, du_exact=None):
     """Cellwise Gauss-quadrature L2 errors of the field and of its
     exterior derivative proxy."""
     dm = dof_map(mesh, k)
@@ -248,12 +249,12 @@ def error_norms(mesh, k, u_h, u_exact, du_exact=None, degree=4):
         raise ValueError("DOF vector length does not match the mesh")
     n = mesh.dim
     geo = mesh_geometry(mesh)
-    lam = reference_barycentric(n, degree)
+    lam = reference_barycentric(n)
     acc_l2 = 0.0
     acc_d = 0.0
     for cells in cell_blocks(mesh.num_cells, len(lam)):
         block = geo[cells]
-        pts, wts = cell_rules(block, degree)
+        pts, wts = cell_rules(block)
         flat = pts.reshape(-1, n)
         coefs = u_h[dm.cell_dofs[cells]]
         ue = np.asarray(u_exact(flat), dtype=float).reshape(pts.shape[:2] + (-1,))
@@ -273,25 +274,20 @@ def error_norms(mesh, k, u_h, u_exact, du_exact=None, degree=4):
     return ErrorNorms(math.sqrt(acc_l2), math.sqrt(acc_d) if du_exact is not None else None)
 
 
-def solve_case(case, n, tol=1e-10, quad_degree=4):
+def solve_case(case, n, tol=1e-10):
     """Assemble, constrain and solve one mesh of a case; ``tol`` bounds
     the relative residual of the solve.
 
     Returns (mesh, dof vector, SolveReport).
     """
     mesh = case.build_mesh(n)
-    system = assemble(
-        mesh, case.k, case.alpha, case.beta, case.gamma,
-        scheme=case.scheme, quad_degree=quad_degree,
-    )
-    system.rhs = assemble_load(mesh, case.k, case.f, degree=quad_degree)
+    system = assemble(mesh, case.k, case.alpha, case.beta, case.gamma, scheme=case.scheme)
+    system.rhs = assemble_load(mesh, case.k, case.f)
     flagged = np.nonzero(system.dof_map.boundary)[0]
     if case.u_exact is None:
         values = {int(d): 0.0 for d in flagged}
     else:
-        traces = canonical_interpolate(
-            mesh, case.k, case.u_exact, degree=quad_degree, entities=flagged
-        )
+        traces = canonical_interpolate(mesh, case.k, case.u_exact, entities=flagged)
         values = {int(d): float(traces[d]) for d in flagged}
     constrained = apply_essential_bc(system, values)
     u, report = solve(constrained, tol=tol)
@@ -347,15 +343,15 @@ class ConvergenceReport:
             fh.write("\n".join(lines) + "\n")
 
 
-def run_convergence(case, ns, tol=1e-10, quad_degree=4):
+def run_convergence(case, ns, tol=1e-10):
     """Solve the case over a mesh family and tabulate errors and rates."""
     if case.u_exact is None:
         raise ValueError(f"case {case.name} has no exact solution to converge to")
     report = ConvergenceReport(case.name, case.scheme, case.alpha, case.gamma)
     prev = None
     for n in ns:
-        mesh, u, _ = solve_case(case, n, tol=tol, quad_degree=quad_degree)
-        err = error_norms(mesh, case.k, u, case.u_exact, case.du_exact, quad_degree)
+        mesh, u, _ = solve_case(case, n, tol=tol)
+        err = error_norms(mesh, case.k, u, case.u_exact, case.du_exact)
         if prev is None:
             lo = do = None
         else:

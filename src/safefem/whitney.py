@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import _geometry, local_subsimplices, mesh_geometry, opposite_vertices
-from .quadrature import reference_simplex_rule
+from .quadrature import QUAD_DEGREE, reference_simplex_rule
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,6 @@ class DofMap:
     """Cell-to-global DOF connectivity for the degree-k space, with the
     barycentre of each DOF's entity in ``points``."""
 
-    k: int
     num_dofs: int
     cell_dofs: np.ndarray
     boundary: np.ndarray
@@ -41,7 +40,6 @@ def dof_map(mesh, k):
     if not 0 <= k <= mesh.dim:
         raise ValueError(f"no degree-{k} space in dimension {mesh.dim}")
     return DofMap(
-        k=k,
         num_dofs=mesh.num_entities(k),
         cell_dofs=mesh.cell_entities[k],
         boundary=mesh.boundary[k].copy(),
@@ -159,7 +157,7 @@ def basis_derivatives(geo, k):
     return geo.facet_signs / geo.volume[:, None]
 
 
-def canonical_interpolate(mesh, k, field, degree=4, entities=None):
+def canonical_interpolate(mesh, k, field, degree=QUAD_DEGREE, entities=None):
     """Canonical DOFs of a field: point values, tangential edge
     integrals, normal facet fluxes or cell integrals.
 

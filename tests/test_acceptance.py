@@ -246,7 +246,7 @@ def test_criterion_6_kernel_route_matches_operator_route(rng):
             direction = rng.normal(size=dim)
             direction /= np.linalg.norm(direction)
             beta = direction * rng.uniform(0.0, 10.0)
-            a, b = averaged_coefficients(geo, alpha, const_beta(beta), 4)
+            a, b = averaged_coefficients(geo, alpha, const_beta(beta))
             A = safe_matrices(geo, k, a, b)[0]
             B = local_safe_oracle(geo, k, a[0], b[0] / a[0])
             w = max(w, abs(A - B).max() / max(abs(A).max(), abs(B).max(), 1e-30))

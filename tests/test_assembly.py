@@ -42,7 +42,7 @@ def const_beta(vec):
 
 def coeffs_for(geo, alpha, beta_vec):
     """(alpha_bar, beta_bar) of the cells of ``geo`` for a constant drift."""
-    return averaged_coefficients(geo, alpha, const_beta(beta_vec), 4)
+    return averaged_coefficients(geo, alpha, const_beta(beta_vec))
 
 
 def safe_matrix(geo, k, alpha, beta_vec):

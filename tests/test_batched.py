@@ -68,7 +68,7 @@ def per_cell_matrix(mesh, k, alpha, beta, gamma):
     dm = dof_map(mesh, k)
     ref = np.zeros((dm.num_dofs, dm.num_dofs))
     for cid, cell in cells(mesh):
-        loc = safe_matrices(cell, k, *averaged_coefficients(cell, alpha, beta, 4))[0]
+        loc = safe_matrices(cell, k, *averaged_coefficients(cell, alpha, beta))[0]
         if callable(gamma):
             pts, wts, vals = cell_rule(cell, k)
             gw = gamma(pts) * wts

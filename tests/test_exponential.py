@@ -29,6 +29,7 @@ from safefem.exponential import (
     _SERIES_TERMS,
     _bernoulli,
     _dd_exp,
+    _dd_exp_table,
     averaged_coefficients,
     exp_average,
     local_exp_operators,
@@ -503,6 +504,75 @@ def test_table_rows_with_series_windows(row):
         assert rel_to_oracle(value, mp_bernoulli(eps, args)) < 1e-13
 
 
+def wide_kinds(j):
+    """The kinds of ``wide_kernel_rows`` at j arguments: one argument can
+    neither tie with the maximum nor cluster with another."""
+    if j == 1:
+        return ("random", "last max", "zero max")
+    return ("random", "last max", "last tied", "zero max", "clustered")
+
+
+def wide_kernel_rows(j, kind, count=24):
+    """Kernel rows y (count, j) whose exponents S = [0, y] span from just
+    above ``_SERIES_SPREAD`` to 300: ``kind`` puts y_j at the strict
+    maximum (upwind limit 0) or tied with it, 0 at the maximum, or all
+    points but the two ends within 3/1024 of one end.  The exponents lie
+    on a 2^-10 grid, so every shift of a row is exact and the rows test
+    the evaluation, not the rounding of its inputs."""
+    rng = np.random.default_rng(j)
+    rows = []
+    for spread in np.geomspace(_SERIES_SPREAD + 2.0**-10, 300.0, count):
+        top = math.ceil(1024 * spread)
+        S = rng.integers(0, top + 1, j + 1)
+        if kind == "clustered":
+            end = rng.integers(2) * top
+            S = np.r_[0, top, end + np.sign(top - 2 * end) * rng.integers(0, 4, j - 1)]
+            S = rng.permutation(S)
+        else:
+            # both ends of the span are attained, the top at a fixed slot
+            slot = {"zero max": 0, "last max": j, "last tied": j}.get(kind, rng.integers(j + 1))
+            rest = rng.permutation([i for i in range(j + 1) if i != slot])
+            S[slot], S[rest[0]] = top, 0
+            if kind == "last max":
+                S[rest] = np.minimum(S[rest], top - 1)
+            elif kind == "last tied":
+                S[rest[1]] = top
+        rows.append((S[1:] - S[0]) / 1024)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_wide_rows_are_limit_plus_table_correction(j):
+    # every wide row is its upwind limit plus one Newton-table correction
+    rows = np.concatenate([wide_kernel_rows(j, kind) for kind in wide_kinds(j)])
+    S = np.column_stack([np.zeros(len(rows)), rows])
+    assert np.all(np.ptp(S, axis=1) > _SERIES_SPREAD) and np.all(np.ptp(S, axis=1) <= 300.5)
+    hi = S.max(axis=1)
+    ties = np.sum(S == hi[:, None], axis=1) > 1
+    last = S[:, -1] == hi
+    assert np.any(last & ~ties) and np.any(~last) and np.any(S[:, 0] == hi)
+    assert j == 1 or np.any(last & ties)
+    for eps in (1.0, 0.25):
+        args = eps * rows
+        for row, value in zip(args, _bernoulli(eps, args)):
+            assert rel_to_oracle(value, mp_bernoulli(eps, row)) <= 1e-15
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_table_left_child_is_row_without_its_maximum(m):
+    # the wide kernel rows reuse the left child of the table's top window
+    # as the divided difference of the row without its maximum
+    rows = [np.sort(np.r_[0.0, y]) for kind in wide_kinds(m) for y in wide_kernel_rows(m, kind)]
+    rows += [np.array(r, dtype=float) for r in TABLE_ROWS if len(r) == m + 1]
+    z = np.array(rows) - np.array(rows)[:, -1:]
+    assert np.all(z[:, -1] - z[:, 0] > _SERIES_SPREAD)
+    top, left = _dd_exp_table(z)
+    mu, d = _dd_exp(z[:, :-1])
+    assert np.all(np.abs(left - np.exp(mu) * d) <= 4e-16 * left)
+    mu, d = _dd_exp(z)
+    assert np.array_equal(top, np.exp(mu) * d)
+
+
 def test_exp_average_trivial_and_edge():
     verts = np.array([[0.0, 0.0], [1.0, 0.0]])
     assert exp_average(verts, np.zeros(2)) == pytest.approx(1.0, rel=1e-15)
@@ -552,7 +622,7 @@ def test_cell_coefficients_constant():
     geo = mesh_geometry(build_unit_square_mesh(2))[[0]]
     beta = np.array([1.0, 2.0])
     const = lambda x: np.tile(beta, (len(x), 1))
-    alpha_bar, beta_bar = averaged_coefficients(geo, 2.0, const, 4)
+    alpha_bar, beta_bar = averaged_coefficients(geo, 2.0, const)
     assert alpha_bar[0] == pytest.approx(2.0, rel=1e-14)
     # the fitted direction theta_bar
     assert beta_bar[0] / alpha_bar[0] == pytest.approx(beta / 2.0, rel=1e-13)
@@ -564,7 +634,7 @@ def test_cell_coefficients_variable_alpha():
     pts, wts = (a[0] for a in simplex_rules(geo.vertices, 6))
     alpha = lambda x: 1.0 + x[:, 0] ** 2
     ref = (wts @ alpha(pts)) / wts.sum()
-    alpha_bar, _ = averaged_coefficients(geo, alpha, lambda x: np.zeros_like(x), 4)
+    alpha_bar, _ = averaged_coefficients(geo, alpha, lambda x: np.zeros_like(x))
     assert alpha_bar[0] == pytest.approx(ref, rel=1e-12)
 
 
@@ -572,11 +642,11 @@ def test_cell_coefficients_rejects_nonpositive_alpha():
     geo = mesh_geometry(build_unit_square_mesh(1))[[0]]
     beta = lambda x: np.zeros_like(x)
     with pytest.raises(ValueError):
-        averaged_coefficients(geo, -1.0, beta, 4)
+        averaged_coefficients(geo, -1.0, beta)
     with pytest.raises(ValueError):
-        averaged_coefficients(geo, lambda x: x[:, 0] - 10.0, beta, 4)
+        averaged_coefficients(geo, lambda x: x[:, 0] - 10.0, beta)
     with pytest.raises(ValueError):
-        averaged_coefficients(geo, math.nan, beta, 4)
+        averaged_coefficients(geo, math.nan, beta)
 
 
 def test_cell_coefficients_zero_alpha_is_upwind_limit():
@@ -587,7 +657,7 @@ def test_cell_coefficients_zero_alpha_is_upwind_limit():
     xc = geo.barycenter[0]
     beta = lambda x: np.column_stack([1.0 + x[:, 0], -x[:, 1]])
     for alpha in (0, 0.0, lambda x: (x[:, 0] - xc[0]) ** 2):
-        alpha_bar, beta_bar = averaged_coefficients(geo, alpha, beta, 4)
+        alpha_bar, beta_bar = averaged_coefficients(geo, alpha, beta)
         assert alpha_bar[0] == 0.0
         with pytest.raises(ValueError, match="alpha_bar > 0"):
             local_safe_oracle(geo, 0, alpha_bar[0], beta_bar[0])

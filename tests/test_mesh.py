@@ -122,7 +122,6 @@ def test_square_mesh_diagonal_conventions():
         return sorted((a, b)) in mesh.simplices[1].tolist()
 
     llur = build_unit_square_mesh(1, diagonal=DIAG_LL_UR)
-    assert llur.diagonal == DIAG_LL_UR
     assert has_edge(llur, 0, 3)  # (0,0) to (1,1)
     ullr = build_unit_square_mesh(1, diagonal=DIAG_UL_LR)
     assert has_edge(ullr, 1, 2)  # (1,0) to (0,1)
@@ -220,6 +219,7 @@ def test_facet_normals_outward_and_unit():
     for dim, seed in ((2, 5), (3, 6)):
         geo = mesh_geometry(jittered_mesh(dim, seed))
         v = geo.vertices
+        assert np.array_equal(geo.barycenter, v.mean(axis=1))
         det = np.linalg.det(v[:, 1:] - v[:, :1])
         assert np.any(det > 0) and np.any(det < 0)
         normals, measures = facet_normals(geo)

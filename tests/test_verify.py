@@ -190,6 +190,10 @@ def test_strong_residual_needs_exact_solution(rng):
     case = make_case("div2d-stability")
     with pytest.raises(ValueError):
         strong_residual(case, interior_points(rng, 2))
+    # the operator follows (dimension, degree); the 3d facet space has none
+    case = dataclasses.replace(make_case("curl3d"), k=2)
+    with pytest.raises(ValueError):
+        strong_residual(case, interior_points(rng, 3))
 
 
 def test_case_metadata():
