@@ -31,13 +31,7 @@ from .exponential import (
     local_exp_operators,
 )
 from .mesh import cell_blocks, local_subsimplices, mesh_geometry, opposite_vertices
-from .quadrature import (
-    QUAD_DEGREE,
-    cell_rules,
-    reference_barycentric,
-    simplex_measures,
-    simplex_rules,
-)
+from .quadrature import cell_rules, reference_barycentric
 from .whitney import (
     DofMap,
     basis_derivatives,
@@ -90,7 +84,8 @@ def local_safe_oracle(geo, k, alpha_bar, theta_bar):
     if not alpha_bar > 0:
         raise ValueError("oracle route needs alpha_bar > 0")
     geom = geo[0]
-    n = geom.vertices.shape[1]
+    v = geom.vertices
+    n = v.shape[1]
     d = basis_derivatives(geo, k)[0]
     J = local_exp_operators(geom, k, theta_bar)[2]
     scale = alpha_bar * geom.volume
@@ -98,7 +93,7 @@ def local_safe_oracle(geo, k, alpha_bar, theta_bar):
         w = _edge_weights(geo, k)[0]
         P = np.zeros((n, len(w)))
         for e, (i, j) in enumerate(local_subsimplices(n, 1)):
-            P[:, e] = w[e] * geom.tangents[i, j] / geom.volume
+            P[:, e] = w[e] * (v[j] - v[i]) / geom.volume
         return scale * (d @ (P @ J))
     if k == 1 and n == 3:
         omega = _edge_weights(geo, k)[0]
@@ -110,8 +105,8 @@ def local_safe_oracle(geo, k, alpha_bar, theta_bar):
         signs, n_out = np.zeros(4), np.zeros((4, 3))
         faces = zip(local_subsimplices(3, 2), opposite_vertices(3))
         for f, ((i, j, l), o) in enumerate(faces):
-            cross = np.cross(geom.tangents[i, j], geom.tangents[i, l])
-            signs[f] = np.sign(cross @ geom.tangents[o, i])
+            cross = np.cross(v[j] - v[i], v[l] - v[i])
+            signs[f] = np.sign(cross @ (v[i] - v[o]))
             n_out[f] = 0.5 * signs[f] * cross
         P = np.zeros((3, 4))
         for fa in range(4):
@@ -169,7 +164,7 @@ def _curl_tables():
 
 def _kernel_args(n, k):
     """Index tables (P, Q), one row per kernel, selecting the arguments
-    S[P, Q] of the vertex (k = 0) or facet (k = n-1) form on an
+    bbar . (a_Q - a_P) of the vertex (k = 0) or facet (k = n-1) form on an
     n-simplex."""
     if k == 0:
         # B_1 along both directions of every local edge (i, j)
@@ -203,15 +198,17 @@ def safe_matrices(geo, k, eps, bbar):
     (ncells, nloc, nloc), for kernel parameters ``eps`` (ncells,) and
     averaged drifts ``bbar`` (ncells, n).
 
-    Every kernel argument is an entry of S[p, q] = bbar . (a_q - a_p); the
+    Every kernel argument is a drift component bbar . (a_q - a_p); the
     constant index tables (P, Q) select the distinct ones, and one kernel
     call serves the whole block."""
-    n = geo.vertices.shape[2]
+    verts = geo.vertices
+    n = verts.shape[2]
     P, Q = _form_args(n, k)
-    S = np.vecdot(bbar[:, None, None], geo.tangents)
-    vals = _bernoulli(eps[:, None], S[:, P, Q])
+    S = np.vecdot(bbar[:, None, None], verts[:, Q] - verts[:, P])
+    vals = _bernoulli(eps[:, None], S)
     if k == 0:
-        # column p gains omega_E B_1(S[p, q]) (e_p - e_q) for each neighbour q
+        # column p gains omega_E B_1(bbar . (a_q - a_p)) (e_p - e_q) for each
+        # neighbour q
         W = np.zeros((len(vals), n + 1, n + 1))
         W[:, P[:, 0], Q[:, 0]] = np.tile(_edge_weights(geo, k), 2) * vals
         A = -W.transpose(0, 2, 1)
@@ -285,23 +282,8 @@ def assemble(mesh, k, alpha, beta, gamma=0.0, scheme="primal"):
     return SparseSystem(matrix=mat, rhs=np.zeros(dm.num_dofs), dof_map=dm)
 
 
-def _basis_integrals(fvals, wts, vals):
-    """Quadrature of a field against every local basis function, per
-    cell: scalar fields (ncells, npts), vector fields (ncells, npts, n)."""
-    if vals.ndim == 3:
-        return np.einsum("cq,cqa->ca", fvals * wts, vals)
-    return np.einsum("cqd,cqad->ca", fvals * wts[..., None], vals)
-
-
-def assemble_load(mesh, k, f, neumann=None, g=None):
-    """Load vector of (f, phi_S) plus optional natural boundary data.
-
-    ``neumann`` is an iterable of boundary facet ids paired with the
-    boundary density ``g``: for k = 0 a scalar integrated against the
-    vertex traces, for k = n-1 a scalar against the outward normal
-    component, for the 3d edge space a vector integrated against the
-    basis on the facet.
-    """
+def assemble_load(mesh, k, f):
+    """Load vector of (f, phi_S) over every DOF S of the degree-k space."""
     n = mesh.dim
     geo = mesh_geometry(mesh)
     dm = dof_map(mesh, k)
@@ -316,66 +298,22 @@ def assemble_load(mesh, k, f, neumann=None, g=None):
         vals = basis_values(block, k, block.vertices)
         vals = vals.reshape(vals.shape[:3] + (-1,))
         loc[cells] = np.einsum("cvd,cvad->ca", lam.T @ fw, vals)
-    rhs = np.bincount(dm.cell_dofs.ravel(), loc.ravel(), dm.num_dofs)
-    if neumann is not None:
-        if g is None:
-            raise ValueError("neumann facets given without boundary data g")
-        rhs += _natural_boundary_load(mesh, geo, k, neumann, g)
-    return rhs
+    return np.bincount(dm.cell_dofs.ravel(), loc.ravel(), dm.num_dofs)
 
 
-def _natural_boundary_load(mesh, geo, k, facet_ids, g):
-    n = mesh.dim
-    if not (k in (0, n - 1) or (k == 1 and n == 3)):
-        raise ValueError(f"no natural boundary pairing for k={k}")
-    dm = dof_map(mesh, k)
-    rhs = np.zeros(dm.num_dofs)
-    fids = np.asarray(list(facet_ids), dtype=np.int64)
-    if fids.size == 0:
-        return rhs
-    # adjacent cell of each facet
-    cell_facets = mesh.cell_entities[n - 1]
-    facet_cell = np.full(mesh.num_entities(n - 1), -1, dtype=np.int64)
-    facet_cell[cell_facets.ravel()] = np.repeat(np.arange(mesh.num_cells), n + 1)
-    cells = facet_cell[fids]
-    fverts = mesh.vertices[mesh.simplices[n - 1][fids]]
-    pts, wts = simplex_rules(fverts, QUAD_DEGREE)
-    gvals = _eval_at(g, pts)
-    if k == n - 1:
-        slots = np.argmax(cell_facets[cells] == fids[:, None], axis=1)
-        signs = geo.facet_signs[cells, slots]
-        areas = simplex_measures(fverts)
-        np.add.at(rhs, fids, signs / areas * np.sum(wts * gvals, axis=1))
-    else:
-        # vertex traces are the facet barycentric coordinates; the 3d edge
-        # basis is integrated on the facet as it is
-        vals = basis_values(geo[cells], k, pts)
-        np.add.at(rhs, dm.cell_dofs[cells], _basis_integrals(gvals, wts, vals))
-    return rhs
+def apply_essential_bc(system, values):
+    """Constrain the boundary-flagged DOFs to prescribed values by row
+    replacement with right-hand-side column correction.
 
-
-def apply_essential_bc(system, boundary_values):
-    """Constrain DOFs to prescribed values by row replacement with
-    right-hand-side column correction.
-
-    ``boundary_values`` maps DOF ids to values and must cover every
-    boundary-flagged DOF of the system; additional (interior) pins are
-    allowed.  Returns a new SparseSystem.
+    ``values`` is a float vector over all DOFs; only its entries at
+    ``system.dof_map.boundary`` are read.  Returns a new SparseSystem.
     """
     dm = system.dof_map
-    flagged = set(np.nonzero(dm.boundary)[0].tolist())
-    missing = flagged - set(int(i) for i in boundary_values)
-    if missing:
-        raise ValueError(
-            f"missing boundary values for {len(missing)} flagged DOFs, "
-            f"first: {sorted(missing)[:5]}"
-        )
-    ndof = dm.num_dofs
-    mask = np.zeros(ndof, dtype=bool)
-    xc = np.zeros(ndof)
-    for dof, val in boundary_values.items():
-        mask[int(dof)] = True
-        xc[int(dof)] = float(val)
+    values = np.asarray(values, dtype=float)
+    if values.shape != (dm.num_dofs,):
+        raise ValueError(f"values have shape {values.shape}, expected ({dm.num_dofs},)")
+    mask = dm.boundary
+    xc = np.where(mask, values, 0.0)
     keep = sp.diags((~mask).astype(float))
     A = system.matrix
     b = system.rhs - A @ xc

@@ -128,6 +128,8 @@ def _dd_exp_table(z):
             # window i has parents i - 1 and i one level up
             up = np.pad(z[:, l + 1:] - z[:, :-l - 1] > _SERIES_SPREAD, ((0, 0), (1, 1)))
             need = ~far & (up[:, :-1] | up[:, 1:])
+            if not need.any():
+                continue
             near = win[need]
             col[need] = _dd_exp_series(
                 near, 0.5 * (near[:, 0] + near[:, -1]), 0.5 * (near[:, -1] - near[:, 0])

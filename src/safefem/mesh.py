@@ -200,8 +200,7 @@ class MeshGeometry:
 
     Row c belongs to cell ``cell_ids[c]``: ``vertices`` (N, n+1, n),
     ``volume`` (N,), ``barycenter`` (N, n), ``lambda_grads`` (N, n+1, n),
-    the offset table ``tangents`` (N, n+1, n+1, n) with
-    t[i, j] = a_j - a_i, and per local facet ``facet_signs`` (N, n+1),
+    and per local facet ``facet_signs`` (N, n+1),
     +1 where the facet's sorted-order normal (module docstring) points out
     of the cell.  Indexing with a slice or an index array selects cells;
     an integer index gives one cell without the cell axis.
@@ -212,7 +211,6 @@ class MeshGeometry:
     volume: np.ndarray
     barycenter: np.ndarray
     lambda_grads: np.ndarray
-    tangents: np.ndarray
     facet_signs: np.ndarray
 
     def __getitem__(self, cells):
@@ -227,10 +225,9 @@ def _geometry(mesh, cell_ids):
     n = mesh.dim
     cell_ids = np.asarray(cell_ids)
     verts = mesh.vertices[mesh.cells[cell_ids]]
-    tangents = verts[:, None, :, :] - verts[:, :, None, :]
     # grad lam_i, i >= 1, is the cofactor of the edge a_i - a_0 over the determinant:
     # the other edge turned clockwise in 2d, the other two crossed cyclically in 3d
-    e = tangents[:, 0, 1:]
+    e = verts[:, 1:] - verts[:, :1]
     if n == 2:
         cof = np.stack([e[:, 1, [1, 0]] * [1, -1], e[:, 0, [1, 0]] * [-1, 1]], axis=1)
     else:
@@ -256,7 +253,6 @@ def _geometry(mesh, cell_ids):
         volume=volume,
         barycenter=sum(verts[:, i] for i in range(n + 1)) / (n + 1),
         lambda_grads=lambda_grads,
-        tangents=tangents,
         facet_signs=facet_signs,
     )
 

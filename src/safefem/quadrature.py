@@ -10,7 +10,8 @@ from functools import lru_cache
 
 import numpy as np
 
-# Polynomial degree of the rules on every cell and boundary facet of a mesh
+# Polynomial degree of the rules on every cell of a mesh and of the entity
+# integrals of canonical_interpolate
 QUAD_DEGREE = 4
 
 

@@ -283,12 +283,11 @@ def solve_case(case, n, tol=1e-10):
     mesh = case.build_mesh(n)
     system = assemble(mesh, case.k, case.alpha, case.beta, case.gamma, scheme=case.scheme)
     system.rhs = assemble_load(mesh, case.k, case.f)
-    flagged = np.nonzero(system.dof_map.boundary)[0]
     if case.u_exact is None:
-        values = {int(d): 0.0 for d in flagged}
+        values = np.zeros(system.dof_map.num_dofs)
     else:
-        traces = canonical_interpolate(mesh, case.k, case.u_exact, entities=flagged)
-        values = {int(d): float(traces[d]) for d in flagged}
+        flagged = np.nonzero(system.dof_map.boundary)[0]
+        values = canonical_interpolate(mesh, case.k, case.u_exact, entities=flagged)
     constrained = apply_essential_bc(system, values)
     u, report = solve(constrained, tol=tol)
     return mesh, u, report

@@ -231,7 +231,8 @@ def mass_matrices(geo, k):
     # Affine f, g with vertex values f_i, g_i have int f.g = |T| (sum_i f_i.g_i
     # + sum_i f_i . sum_i g_i) / ((n+1)(n+2)); the values here are offsets
     # a_i - a_o, which keep every term O(h^2) wherever the cell lies
-    t = geo.tangents[:, opposite_vertices(n)]
+    verts = geo.vertices
+    t = verts[:, None] - verts[:, opposite_vertices(n), None]
     flat = t.reshape(len(vol), n + 1, -1)
     tsum = sum(t[:, :, i] for i in range(n + 1))
     gram = flat @ flat.transpose(0, 2, 1) + tsum @ tsum.transpose(0, 2, 1)

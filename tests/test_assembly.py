@@ -82,7 +82,7 @@ def test_edge_weight_identity(rng):
             geom = geo[0]
             acc = np.zeros((dim, dim))
             for w, (i, j) in zip(_edge_weights(geo, 0)[0], local_subsimplices(dim, 1)):
-                t = geom.tangents[i, j]
+                t = geom.vertices[j] - geom.vertices[i]
                 acc += w * np.outer(t, t) / geom.volume
             np.testing.assert_allclose(acc, np.eye(dim), atol=1e-12)
 
@@ -154,7 +154,7 @@ def test_matches_independent_eafe_formula():
         for li, lj in local_subsimplices(2, 1):
             i, j = cell[li], cell[lj]
             omega = -geom.volume * (geom.lambda_grads[li] @ geom.lambda_grads[lj])
-            y = beta @ geom.tangents[li, lj] / alpha
+            y = beta @ (geom.vertices[lj] - geom.vertices[li]) / alpha
             ref[i, i] += omega * alpha * bf(y)
             ref[i, j] -= omega * alpha * bf(-y)
             ref[j, i] -= omega * alpha * bf(y)
@@ -295,46 +295,6 @@ def test_load_facet_constant_field():
     np.testing.assert_allclose(rhs, ref, atol=1e-14)
 
 
-def test_neumann_load_vertex():
-    mesh = build_unit_square_mesh(4)
-    right = [
-        fid
-        for fid in np.nonzero(mesh.boundary[1])[0]
-        if np.allclose(mesh.vertices[mesh.simplices[1][fid]][:, 0], 1.0)
-    ]
-    rhs = assemble_load(
-        mesh, 0, lambda x: np.zeros(len(x)), neumann=right, g=lambda x: np.ones(len(x))
-    )
-    # integral of the boundary hat functions over the side adds to its length
-    assert rhs.sum() == pytest.approx(1.0, rel=1e-13)
-    assert abs(rhs[~np.isclose(mesh.vertices[:, 0], 1.0)]).max() < 1e-15
-
-    with pytest.raises(ValueError):
-        assemble_load(mesh, 0, lambda x: np.zeros(len(x)), neumann=right)
-
-
-def test_neumann_load_facet():
-    # constant normal density g: each listed facet's DOF gets its outward
-    # sign times g, every other entry stays zero
-    mesh = build_unit_square_mesh(4)
-    right = [
-        fid
-        for fid in np.nonzero(mesh.boundary[1])[0]
-        if np.allclose(mesh.vertices[mesh.simplices[1][fid]][:, 0], 1.0)
-    ]
-    g = 2.5
-    rhs = assemble_load(
-        mesh, 1, lambda x: np.zeros((len(x), 2)), neumann=right,
-        g=lambda x: np.full(len(x), g),
-    )
-    for fid in right:
-        a, b = mesh.vertices[mesh.simplices[1][fid]]
-        normal = np.array([b[1] - a[1], a[0] - b[0]])  # rotated clockwise
-        assert rhs[fid] == pytest.approx(np.sign(normal[0]) * g, rel=1e-13)
-    others = np.setdiff1d(np.arange(len(rhs)), right)
-    assert (rhs[others] == 0.0).all()
-
-
 def test_essential_bc_elimination():
     mesh = build_unit_square_mesh(2)
     beta = const_beta([1.0, 0.0])
@@ -342,28 +302,42 @@ def test_essential_bc_elimination():
     system.rhs[:] = assemble_load(mesh, 0, lambda x: np.ones(len(x)))
     g = lambda x: x[:, 0] + 2 * x[:, 1]
     bidx = np.nonzero(system.dof_map.boundary)[0]
-    values = {int(i): float(g(mesh.vertices[[i]])[0]) for i in bidx}
+    values = np.zeros(system.dof_map.num_dofs)
+    values[bidx] = g(mesh.vertices[bidx])
     bc = apply_essential_bc(system, values)
 
     # constrained rows are identity rows carrying the boundary value
     A = bc.matrix.toarray()
-    for i, v in values.items():
-        assert bc.rhs[i] == pytest.approx(v)
+    for i in bidx:
+        assert bc.rhs[i] == pytest.approx(values[i])
         row = np.zeros(A.shape[1])
         row[i] = 1.0
         np.testing.assert_allclose(A[i], row)
     # free rows got the column correction
     A0 = system.matrix.toarray()
-    xc = np.zeros(A.shape[0])
-    for i, v in values.items():
-        xc[i] = v
-    free = [i for i in range(A.shape[0]) if i not in values]
+    free = [i for i in range(A.shape[0]) if i not in bidx]
     np.testing.assert_allclose(
-        bc.rhs[free], (system.rhs - A0 @ xc)[free], atol=1e-14
+        bc.rhs[free], (system.rhs - A0 @ values)[free], atol=1e-14
     )
 
     with pytest.raises(ValueError):
-        apply_essential_bc(system, {int(bidx[0]): 0.0})
+        apply_essential_bc(system, values[:-1])
+
+
+def test_essential_bc_reads_only_boundary_entries(rng):
+    # entries off the boundary are ignored: random interior values give
+    # the same constrained system, bit for bit, as zeros there
+    mesh = build_unit_square_mesh(4)
+    system = assemble(mesh, 0, 1.0, const_beta([1.0, -0.5]), gamma=1.0)
+    system.rhs[:] = assemble_load(mesh, 0, lambda x: np.ones(len(x)))
+    boundary = system.dof_map.boundary
+    clean = np.where(boundary, rng.standard_normal(len(boundary)), 0.0)
+    noisy = np.where(boundary, clean, rng.standard_normal(len(boundary)))
+    ref = apply_essential_bc(system, clean)
+    got = apply_essential_bc(system, noisy)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got.matrix, name), getattr(ref.matrix, name))
+    assert np.array_equal(got.rhs, ref.rhs)
 
 
 def test_assemble_rejects_nonpositive_alpha():

@@ -36,6 +36,8 @@ REFERENCE_ONLY = {
     "local_exp_operators": "conjugated difference operators behind local_safe_oracle",
     "local_incidence": "one-cell incidence behind local_exp_operators and incidence",
     "_dd_exp": "shifted divided differences behind exp_average and local_exp_operators",
+    "simplex_rules": "quadrature on any stacked simplices behind the per-cell references",
+    "simplex_measures": "Gram-determinant measure that the cell volumes are checked against",
 }
 ENTRY_POINTS = ("main",)
 

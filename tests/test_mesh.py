@@ -204,7 +204,7 @@ def test_cell_geometry_identities(rng):
         for i in range(dim + 1):
             for j in range(dim + 1):
                 lam_j_at = lambda x: geom.lambda_grads[j] @ (x - geom.vertices[j])
-                got = geom.lambda_grads[j] @ geom.tangents[i, j]
+                got = geom.lambda_grads[j] @ (geom.vertices[j] - geom.vertices[i])
                 # moving from a_j to a_i changes lambda_j by -1... check sign
                 assert geom.lambda_grads[j] @ (
                     geom.vertices[i] - geom.vertices[j]
